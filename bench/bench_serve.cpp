@@ -36,8 +36,8 @@
 #include "bench_common.h"
 #include "detect/density_detector.h"
 #include "nn/quantized.h"
-#include "serve/queue.h"
 #include "serve/service.h"
+#include "util/channel.h"
 #include "util/stopwatch.h"
 
 using namespace opad;
@@ -157,7 +157,7 @@ LoadResult open_loop(const RingWorkload& workload,
   };
   // Dispatcher -> drainer handoff; batches complete in FIFO order, so a
   // drainer waiting in admission order reads completion times accurately.
-  serve::BoundedQueue<Timed> handoff(total + 1);
+  Channel<Timed> handoff(total + 1);
   std::vector<double> latencies;
   latencies.reserve(total);
   std::thread drainer([&] {

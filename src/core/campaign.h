@@ -4,18 +4,14 @@
 // "spend this query budget with this method, folding what it finds back
 // into the model every round".
 //
-// Execution: the rounds run as a software-pipelined stage graph
-// (sched/graph.h) — detect and retrain are exclusive stages with a
-// connect_offset(retrain, detect, 1) carried dependency (round r+1's
-// detect needs round r's retrained weights), and the per-round stats
-// fold trails them in a serial record lane. The pre-refactor loop is
-// retained as ExecutionMode::kSerialReference; both paths produce
-// bit-identical CampaignResults in every field except `trace`.
+// Execution: the rounds run one after another — round r+1's detect
+// needs round r's retrained weights — and detect and retrain each use the
+// pool internally. The CampaignResult is bit-identical at any
+// OPAD_THREADS value (test-pinned at {1,8}).
 #pragma once
 
 #include "core/methods.h"
 #include "core/retrainer.h"
-#include "sched/graph.h"
 
 namespace opad {
 
@@ -24,9 +20,6 @@ struct CampaignConfig {
   std::uint64_t query_budget = 20000;  // total across rounds
   RetrainConfig retrain;
   std::uint64_t base_seed = 1;  // derives per-round rng streams
-  /// Stage-graph vs serial-reference execution. Purely a scheduling
-  /// knob: results are bit-identical in either mode at any overlap.
-  sched::ExecutionPolicy execution;
 };
 
 struct CampaignRound {
@@ -41,9 +34,6 @@ struct CampaignResult {
   /// every stats field aggregates (the old struct carried three hand-
   /// picked totals and silently dropped the rest).
   DetectionStats totals;
-  /// Where the wall-clock went, per stage. Attribution only — excluded
-  /// from the determinism contract.
-  sched::StageTrace trace;
 };
 
 /// Runs `method` against `model` for config.rounds rounds, retraining on

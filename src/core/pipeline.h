@@ -14,18 +14,19 @@
 //                         bound on pmi meets the target, else feed the
 //                         posterior back into step 2.
 //
-// Execution: each iteration's steps 3-5 run as a stage graph
-// (sched/graph.h) whose fuzz / score / fold / collect stages overlap at
-// seed-chunk granularity — while the serial fold accounts chunk i, the
-// fuzzer already attacks chunk i+1 — with retraining and assessment as
-// exclusive stages that get the whole pool. The pre-refactor serial walk
-// is retained as ExecutionMode::kSerialReference; both paths are
-// bit-identical in every PipelineResult field except `trace`
-// (test-pinned at overlap {0,2,4} x OPAD_THREADS {1,8}).
+// Execution: the steps run one after another. The loop is a strict
+// chain (each round's attack needs the previous round's retrained
+// weights), so the parallelism lives inside the steps: fuzzing attacks
+// seed lanes on the pool, and retraining, assessment and the RQ1 fit use
+// the pool internally. Every PipelineResult field except `trace` is
+// bit-identical at any OPAD_THREADS value (test-pinned at {1,8}).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "attack/natural_fuzzer.h"
 #include "core/assessor.h"
@@ -33,7 +34,6 @@
 #include "core/seed_sampler.h"
 #include "core/test_generator.h"
 #include "op/synthesizer.h"
-#include "sched/graph.h"
 
 namespace opad {
 
@@ -61,15 +61,29 @@ struct PipelineConfig {
   /// memory/throughput knob: streaming consumers are bit-identical at any
   /// chunk size.
   std::size_t stream_chunk_size = 4096;
-  /// Stage-graph vs serial-reference execution, and the overlap depth.
-  /// Purely a scheduling knob: results are bit-identical in either mode
-  /// at any overlap (only PipelineResult::trace differs).
-  sched::ExecutionPolicy execution;
   /// Cap on PipelineResult::all_aes (0 = retain everything). Detection
   /// stats stay uncapped — the cap bounds long-campaign memory, keeping
   /// the first `max_retained_aes` AEs in canonical seed order
   /// (regression-pinned).
   std::size_t max_retained_aes = 0;
+};
+
+/// Wall time one pipeline step spent, summed across iterations.
+struct StepTiming {
+  std::string name;
+  std::size_t items = 0;       // iterations that ran the step
+  std::size_t rows = 0;        // rows the step processed
+  std::uint64_t busy_us = 0;   // summed wall time
+  /// Always 0: the steps hand off in memory, with no queue between them.
+  /// Kept for benchmark readers that report queue occupancy.
+  std::size_t peak_queue = 0;
+};
+
+/// Per-step attribution of a pipeline run. The steps are `sample` (RQ2),
+/// `fuzz` (RQ3: attack, naturalness scoring and the budget fold),
+/// `retrain` (RQ4) and `assess` (RQ5), in that order.
+struct PipelineTrace {
+  std::vector<StepTiming> stages;
 };
 
 struct IterationRecord {
@@ -87,12 +101,11 @@ struct PipelineResult {
   double tau = 0.0;
   std::vector<OperationalAE> all_aes;  // across iterations (capped)
   /// RQ1 GMM fit witness (empty when the OP model is a KDE): per-EM-
-  /// iteration mean log-likelihood, bit-identical across thread counts,
-  /// overlap depths and execution modes.
+  /// iteration mean log-likelihood, bit-identical across thread counts.
   GmmFitTrace gmm_trace;
-  /// Where the wall-clock went (per stage, merged across iterations).
+  /// Where the wall-clock went, per step, summed across iterations.
   /// Attribution only — excluded from the determinism contract.
-  sched::StageTrace trace;
+  PipelineTrace trace;
 };
 
 class OpTestingPipeline {

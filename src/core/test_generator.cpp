@@ -6,6 +6,16 @@
 
 namespace opad {
 
+/// Everything one seed's attack produced, computed in parallel and folded
+/// into the Detection sequentially, in seed order.
+struct TestCaseGenerator::SeedOutcome {
+  LabeledSample seed;
+  bool seed_fails = false;
+  AttackResult result;
+  double seed_log_density = 0.0;
+  double naturalness = 0.0;
+};
+
 TestCaseGenerator::TestCaseGenerator(AttackPtr attack, NaturalnessPtr metric,
                                      std::optional<double> tau,
                                      ProfilePtr profile,
@@ -21,16 +31,12 @@ TestCaseGenerator::TestCaseGenerator(AttackPtr attack, NaturalnessPtr metric,
                    "a tau threshold requires a naturalness metric");
 }
 
-std::size_t TestCaseGenerator::chunk_count(std::size_t seed_count) const {
-  return (seed_count + lane_width_ - 1) / lane_width_;
-}
-
-std::vector<SeedAttackOutcome> TestCaseGenerator::attack_chunk(
+std::vector<TestCaseGenerator::SeedOutcome> TestCaseGenerator::attack_chunk(
     const Classifier& model, const Dataset& pool,
     std::span<const std::size_t> seed_indices, std::size_t lo, std::size_t hi,
     std::uint64_t stream_base) const {
   OPAD_EXPECTS(lo <= hi && hi <= seed_indices.size());
-  std::vector<SeedAttackOutcome> outcomes(hi - lo);
+  std::vector<SeedOutcome> outcomes(hi - lo);
 
   // Per-chunk replicas: attacks mutate layer caches and the query
   // counter, and some metrics carry forward-pass scratch. Replicas have
@@ -56,7 +62,7 @@ std::vector<SeedAttackOutcome> TestCaseGenerator::attack_chunk(
   std::vector<std::size_t> attacked;  // outcome indices in [0, m)
   attacked.reserve(m);
   for (std::size_t j = 0; j < m; ++j) {
-    SeedAttackOutcome& out = outcomes[j];
+    SeedOutcome& out = outcomes[j];
     out.seed_fails = predicted[j] != out.seed.y;
     if (out.seed_fails) {
       out.result.success = true;
@@ -78,7 +84,7 @@ std::vector<SeedAttackOutcome> TestCaseGenerator::attack_chunk(
     std::vector<Rng> rngs;
     rngs.reserve(attacked.size());
     for (std::size_t a = 0; a < attacked.size(); ++a) {
-      const SeedAttackOutcome& out = outcomes[attacked[a]];
+      const SeedOutcome& out = outcomes[attacked[a]];
       lane_seeds.set_row(a, out.seed.x.data());
       labels[a] = out.seed.y;
       rngs.emplace_back(derive_stream_seed(stream_base, lo + attacked[a]));
@@ -86,62 +92,19 @@ std::vector<SeedAttackOutcome> TestCaseGenerator::attack_chunk(
     std::vector<AttackResult> results =
         attack.run_batch(worker_model, lane_seeds, labels, rngs);
     for (std::size_t a = 0; a < attacked.size(); ++a) {
-      SeedAttackOutcome& out = outcomes[attacked[a]];
+      SeedOutcome& out = outcomes[attacked[a]];
       out.result = std::move(results[a]);
       out.result.queries += 1;  // + the pre-check
     }
   }
-  return outcomes;
-}
 
-void TestCaseGenerator::score_chunk(
-    std::span<SeedAttackOutcome> outcomes) const {
   const NaturalnessPtr metric = thread_local_metric(metric_);
-  for (SeedAttackOutcome& out : outcomes) {
+  for (SeedOutcome& out : outcomes) {
     if (!out.result.success) continue;
     out.seed_log_density = profile_ ? profile_->log_density(out.seed.x) : 0.0;
     out.naturalness = metric ? metric->score(out.result.adversarial) : 0.0;
   }
-}
-
-std::vector<OperationalAE> TestCaseGenerator::fold_chunk(
-    std::span<SeedAttackOutcome> outcomes, Classifier& model,
-    BudgetTracker& budget, DetectionStats& stats) const {
-  // Sequential fold in seed order with the budget cut-off applied between
-  // seeds. A seed whose measured cost no longer fits in the remaining
-  // budget ends the campaign right there (mark_depleted): the fold keeps
-  // the exact affordable prefix, so the accounted total can never overrun
-  // query_budget — not even by the final lane group. Consumed queries are
-  // folded back into the primary model's counter. Once the budget is
-  // depleted every later chunk folds to nothing, matching the serial
-  // walk's break.
-  std::vector<OperationalAE> accepted;
-  for (SeedAttackOutcome& out : outcomes) {
-    if (budget.exhausted()) break;
-    if (out.result.queries > budget.remaining()) {
-      budget.mark_depleted();
-      break;
-    }
-    budget.consume(out.result.queries);
-    model.add_queries(out.result.queries);
-    stats.seeds_attacked += 1;
-    stats.queries_used += out.result.queries;
-    if (!out.result.success) continue;
-    stats.aes_found += 1;
-    if (out.seed_fails) stats.clean_failures += 1;
-
-    OperationalAE ae;
-    ae.seed = std::move(out.seed.x);
-    ae.label = out.seed.y;
-    ae.adversarial = std::move(out.result.adversarial);
-    ae.linf_distance = out.result.linf_distance;
-    ae.seed_log_density = out.seed_log_density;
-    ae.naturalness = out.naturalness;
-    ae.is_operational = tau_ ? ae.naturalness >= *tau_ : false;
-    if (ae.is_operational) stats.operational_aes += 1;
-    accepted.push_back(std::move(ae));
-  }
-  return accepted;
+  return outcomes;
 }
 
 Detection TestCaseGenerator::generate(
@@ -159,19 +122,47 @@ Detection TestCaseGenerator::generate(
   // identical for any OPAD_THREADS value and any lane width.
   const std::uint64_t stream_base = rng();
 
-  std::vector<std::vector<SeedAttackOutcome>> chunks(chunk_count(n));
+  std::vector<std::vector<SeedOutcome>> chunks(
+      parallel_chunk_count(0, n, lane_width_));
   parallel_for_chunks(
       0, n, lane_width_,
       [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
         chunks[chunk] =
             attack_chunk(model, pool, seed_indices, lo, hi, stream_base);
-        score_chunk(chunks[chunk]);
       });
 
-  for (std::vector<SeedAttackOutcome>& chunk : chunks) {
-    std::vector<OperationalAE> accepted =
-        fold_chunk(chunk, model, budget, detection.stats);
-    for (OperationalAE& ae : accepted) detection.aes.push_back(std::move(ae));
+  // Sequential fold in seed order with the budget cut-off applied between
+  // seeds. A seed whose measured cost no longer fits in the remaining
+  // budget ends the campaign right there (mark_depleted): the fold keeps
+  // the exact affordable prefix, so the accounted total can never overrun
+  // query_budget — not even by the final lane group. Consumed queries are
+  // folded back into the primary model's counter.
+  DetectionStats& stats = detection.stats;
+  for (std::vector<SeedOutcome>& chunk : chunks) {
+    for (SeedOutcome& out : chunk) {
+      if (out.result.queries > budget.remaining()) {
+        budget.mark_depleted();
+        return detection;
+      }
+      budget.consume(out.result.queries);
+      model.add_queries(out.result.queries);
+      stats.seeds_attacked += 1;
+      stats.queries_used += out.result.queries;
+      if (!out.result.success) continue;
+      stats.aes_found += 1;
+      if (out.seed_fails) stats.clean_failures += 1;
+
+      OperationalAE ae;
+      ae.seed = std::move(out.seed.x);
+      ae.label = out.seed.y;
+      ae.adversarial = std::move(out.result.adversarial);
+      ae.linf_distance = out.result.linf_distance;
+      ae.seed_log_density = out.seed_log_density;
+      ae.naturalness = out.naturalness;
+      ae.is_operational = tau_ ? ae.naturalness >= *tau_ : false;
+      if (ae.is_operational) stats.operational_aes += 1;
+      detection.aes.push_back(std::move(ae));
+    }
   }
   return detection;
 }

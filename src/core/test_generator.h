@@ -2,18 +2,15 @@
 // misclassification as operational / non-operational via the naturalness
 // threshold tau, and accounts model queries against a shared budget.
 //
-// The work is exposed at two altitudes: generate() is the one-call path
-// (one fused parallel sweep + canonical fold), while the chunk-granular
-// trio attack_chunk / score_chunk / fold_chunk are the stage bodies the
-// stage-graph pipeline (core/pipeline.cpp) wires into an overlapping
-// graph — fuzzing chunk i+1 while chunk i is scored and folded. Both
-// paths produce bit-identical Detections: per-seed rng streams derive
-// from (stream_base, global seed position), attack/score are pure
-// functions of (parameters, seed, stream), and every stats/budget/AE
-// fold happens in canonical seed order.
+// generate() attacks and scores lane-sized seed chunks in parallel, then
+// folds them in canonical seed order. Per-seed rng streams derive from
+// (stream_base, seed position) and attack/score are pure functions of
+// (parameters, seed, stream), so the Detection is bit-identical at any
+// thread count and lane width.
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "attack/attack.h"
 #include "core/types.h"
@@ -22,17 +19,6 @@
 #include "op/profile.h"
 
 namespace opad {
-
-/// Everything one seed's attack produced, computed in parallel (or in an
-/// overlapped fuzz/score stage pair) and folded into the Detection
-/// sequentially, in seed order.
-struct SeedAttackOutcome {
-  LabeledSample seed;
-  bool seed_fails = false;
-  AttackResult result;
-  double seed_log_density = 0.0;
-  double naturalness = 0.0;
-};
 
 class TestCaseGenerator {
  public:
@@ -68,43 +54,23 @@ class TestCaseGenerator {
                      std::span<const std::size_t> seed_indices,
                      BudgetTracker& budget, Rng& rng) const;
 
-  // ---- Chunk-granular stage bodies (see the stage-graph pipeline). ----
-
-  /// Chunks the seed span is split into at this generator's lane width.
-  std::size_t chunk_count(std::size_t seed_count) const;
-
-  /// Fuzz stage: batched pre-check + lane-batched attack of pool rows
-  /// seed_indices[lo, hi); outcome j corresponds to seed_indices[lo + j].
-  /// `lo`/`hi` are positions in the *whole* span so each seed's rng
-  /// stream derives from its global position: derive_stream_seed(
-  /// stream_base, position). Attacks a fresh replica of `model` (the
-  /// caller's model is never touched), so concurrent chunks are
-  /// independent and the outcome is a pure function of (parameters,
-  /// seeds, stream_base).
-  std::vector<SeedAttackOutcome> attack_chunk(
-      const Classifier& model, const Dataset& pool,
-      std::span<const std::size_t> seed_indices, std::size_t lo,
-      std::size_t hi, std::uint64_t stream_base) const;
-
-  /// Score stage: naturalness + seed OP log-density of every successful
-  /// outcome (via the thread-local metric replica). Pure per outcome.
-  void score_chunk(std::span<SeedAttackOutcome> outcomes) const;
-
-  /// Fold stage (canonical order): accounts one chunk's outcomes against
-  /// the budget in seed order — the first seed whose measured cost
-  /// exceeds remaining() is discarded and the budget marked depleted —
-  /// folds stats, charges `model`'s query counter, and returns the
-  /// accepted AEs (in seed order, is_operational already judged).
-  /// Callers must fold chunks in ascending chunk order.
-  std::vector<OperationalAE> fold_chunk(std::span<SeedAttackOutcome> outcomes,
-                                        Classifier& model,
-                                        BudgetTracker& budget,
-                                        DetectionStats& stats) const;
-
   const Attack& attack() const { return *attack_; }
   std::size_t lane_width() const { return lane_width_; }
 
  private:
+  struct SeedOutcome;
+
+  /// Batched pre-check + lane-batched attack of pool rows
+  /// seed_indices[lo, hi), then naturalness + seed OP log-density of
+  /// every success; outcome j corresponds to seed_indices[lo + j]. Each
+  /// seed's rng stream derives from its position in the whole span, and
+  /// the chunk attacks a fresh replica of `model`, so concurrent chunks
+  /// are independent.
+  std::vector<SeedOutcome> attack_chunk(
+      const Classifier& model, const Dataset& pool,
+      std::span<const std::size_t> seed_indices, std::size_t lo,
+      std::size_t hi, std::uint64_t stream_base) const;
+
   AttackPtr attack_;
   NaturalnessPtr metric_;
   std::optional<double> tau_;

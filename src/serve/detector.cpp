@@ -7,11 +7,6 @@
 
 namespace opad::serve {
 
-void log_density_batch(const OperationalProfile& profile,
-                       const Tensor& inputs, std::span<double> out) {
-  opad::log_density_batch(profile, inputs, out);
-}
-
 void score_batch(ForwardScorer& model, const Detector& detector,
                  const Tensor& inputs, std::span<DetectResult> out) {
   const std::size_t n = inputs.dim(0);
@@ -36,7 +31,7 @@ void score_batch(ForwardScorer& model, const OperationalProfile& profile,
   std::vector<int> labels(n);
   model.predict_batch(inputs, labels);
   std::vector<double> naturalness(n);
-  serve::log_density_batch(profile, inputs, naturalness);
+  opad::log_density_batch(profile, inputs, naturalness);
   for (std::size_t r = 0; r < n; ++r) {
     out[r].label = labels[r];
     out[r].naturalness = naturalness[r];

@@ -12,13 +12,6 @@
 
 namespace opad::serve {
 
-/// Writes log p_OP(row) for every row of `inputs` [n, d] into `out`
-/// (size n). Thin alias of opad::log_density_batch (the sweep now lives
-/// with DensityDetector in src/detect); kept so serve callers and the
-/// invariance tests keep their spelling.
-void log_density_batch(const OperationalProfile& profile,
-                       const Tensor& inputs, std::span<double> out);
-
 /// Scores one micro-batch with any zoo detector: model labels via a
 /// single predict_batch, naturalness via Detector::score_batch, verdicts
 /// at the detector's own threshold. Every output row is a pure function

@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,18 @@
 namespace opad::serve {
 
 namespace {
+
+/// Rejects a request the scheduler could not serve, on the caller's
+/// thread: a row of the wrong width would throw inside the batch, and a
+/// non-finite value would be served as a plausible-looking verdict.
+void validate_request(const Tensor& x, std::size_t input_dim) {
+  OPAD_EXPECTS_MSG(x.size() == input_dim,
+                   "request has " << x.size() << " values, the model takes "
+                                  << input_dim);
+  for (const float v : x.data()) {
+    OPAD_EXPECTS_MSG(std::isfinite(v), "request holds a non-finite value");
+  }
+}
 
 /// The legacy {profile, tau} pair as a zoo detector.
 std::shared_ptr<const Detector> wrap_profile(ProfilePtr profile, double tau) {
@@ -80,6 +93,7 @@ void DetectionService::stop() {
 }
 
 std::future<DetectResult> DetectionService::submit(Tensor x) {
+  validate_request(x, model_->input_dim());
   Request request{std::move(x), {}};
   std::future<DetectResult> future = request.promise.get_future();
   OPAD_EXPECTS_MSG(queue_.push(std::move(request)),
@@ -89,6 +103,7 @@ std::future<DetectResult> DetectionService::submit(Tensor x) {
 
 std::optional<std::future<DetectResult>> DetectionService::try_submit(
     Tensor x) {
+  validate_request(x, model_->input_dim());
   Request request{std::move(x), {}};
   std::future<DetectResult> future = request.promise.get_future();
   if (!queue_.try_push(std::move(request))) {

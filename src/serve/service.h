@@ -32,8 +32,8 @@
 #include "nn/model.h"
 #include "nn/quantized.h"
 #include "serve/drift_trigger.h"
-#include "serve/queue.h"
 #include "serve/types.h"
+#include "util/channel.h"
 
 namespace opad::serve {
 
@@ -83,11 +83,14 @@ class DetectionService {
 
   /// Blocking admission (backpressure): waits for queue space. The future
   /// resolves when the request's micro-batch has been scored. Throws
-  /// PreconditionError after stop().
+  /// PreconditionError after stop(), and on the caller's thread when `x`
+  /// does not hold input_dim() finite values.
   std::future<DetectResult> submit(Tensor x);
 
   /// Shedding admission: returns nullopt when the queue is full or the
-  /// service is stopped (counted in stats().shed).
+  /// service is stopped (counted in stats().shed). Throws
+  /// PreconditionError, without counting a shed, for an invalid `x` (see
+  /// submit()).
   std::optional<std::future<DetectResult>> try_submit(Tensor x);
 
   ServiceStats stats() const;
@@ -124,7 +127,7 @@ class DetectionService {
   ServiceConfig config_;
   std::unique_ptr<OnlineDriftTrigger> trigger_;
   std::atomic<std::shared_ptr<const Scoring>> scoring_;
-  BoundedQueue<Request> queue_;
+  Channel<Request> queue_;
   std::thread scheduler_;
   bool started_ = false;
 

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include "naturalness/density_naturalness.h"
 #include "nn/metrics.h"
 #include "nn/serialize.h"
 #include "op/generator_profile.h"
 #include "test_helpers.h"
+#include "util/parallel.h"
 
 namespace opad {
 namespace {
@@ -50,6 +55,12 @@ TEST(Detection, PlusEqualsMovesAesAndFoldsStats) {
   EXPECT_EQ(a.aes[1].label, 2);
   EXPECT_EQ(a.aes[2].label, 3);
 }
+
+/// Restores the global pool to its OPAD_THREADS / hardware default when a
+/// thread-count-sweeping test exits (also on failure).
+struct GlobalPoolGuard {
+  ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
+};
 
 class CampaignTest : public ::testing::Test {
  protected:
@@ -170,6 +181,55 @@ TEST_F(CampaignTest, DeterministicGivenSeed) {
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_EQ(a.rounds[i].detection.aes_found,
               b.rounds[i].detection.aes_found);
+  }
+}
+
+TEST_F(CampaignTest, BitIdenticalAcrossThreadCounts) {
+  GlobalPoolGuard guard;
+  const auto snapshot = snapshot_parameters(model_->network());
+  CampaignConfig config;
+  config.rounds = 3;
+  config.query_budget = 6000;
+  config.base_seed = 17;
+  config.retrain.epochs = 2;
+  const auto opad = make_opad_method(MethodSuiteConfig{});
+  const auto run_at = [&](std::size_t threads) {
+    ThreadPool::configure_global(threads);
+    const CampaignResult result = run_detect_retrain_campaign(
+        *model_, *opad, context(), *op_data_, config);
+    const auto weights = snapshot_parameters(model_->network());
+    restore_parameters(model_->network(), snapshot);
+    return std::make_pair(result, weights);
+  };
+  const auto [a, a_weights] = run_at(1);
+  const auto [b, b_weights] = run_at(8);
+  EXPECT_GT(a.totals.queries_used, 0u);
+
+  EXPECT_EQ(a.totals.aes_found, b.totals.aes_found);
+  EXPECT_EQ(a.totals.operational_aes, b.totals.operational_aes);
+  EXPECT_EQ(a.totals.queries_used, b.totals.queries_used);
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    SCOPED_TRACE("round " + std::to_string(i));
+    EXPECT_EQ(a.rounds[i].round, b.rounds[i].round);
+    EXPECT_EQ(a.rounds[i].detection.seeds_attacked,
+              b.rounds[i].detection.seeds_attacked);
+    EXPECT_EQ(a.rounds[i].detection.aes_found,
+              b.rounds[i].detection.aes_found);
+    EXPECT_EQ(a.rounds[i].detection.queries_used,
+              b.rounds[i].detection.queries_used);
+    EXPECT_EQ(a.rounds[i].retrain.ae_count, b.rounds[i].retrain.ae_count);
+    EXPECT_EQ(a.rounds[i].retrain.final_loss, b.rounds[i].retrain.final_loss);
+  }
+  // The retrained model is the campaign's real output: equal bytes.
+  ASSERT_EQ(a_weights.size(), b_weights.size());
+  for (std::size_t i = 0; i < a_weights.size(); ++i) {
+    ASSERT_EQ(a_weights[i].size(), b_weights[i].size());
+    EXPECT_EQ(std::memcmp(a_weights[i].data().data(),
+                          b_weights[i].data().data(),
+                          a_weights[i].size() * sizeof(float)),
+              0)
+        << "param " << i;
   }
 }
 

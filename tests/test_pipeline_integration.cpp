@@ -1,13 +1,32 @@
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
 // End-to-end integration test of the Figure-1 pipeline on the ring task.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "nn/serialize.h"
 #include "reliability/ground_truth.h"
 #include "test_helpers.h"
+#include "util/parallel.h"
 
 namespace opad {
 namespace {
+
+/// Restores the global pool to its OPAD_THREADS / hardware default when a
+/// thread-count-sweeping test exits (also on failure).
+struct GlobalPoolGuard {
+  ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
+};
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  if (a.size() == 0) return true;
+  return std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
 
 PipelineConfig small_pipeline_config() {
   PipelineConfig config;
@@ -194,6 +213,180 @@ TEST(Pipeline, ValidatesConfig) {
   config = small_pipeline_config();
   config.naturalness_quantile = 1.5;
   EXPECT_THROW(OpTestingPipeline{config}, PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Determinism pins: every PipelineResult field except the timing trace is
+// bit-identical at any thread count, down to AE bytes, the RQ1 fit trace,
+// the retrained weights and the caller's rng state.
+
+struct PipelineRun {
+  PipelineResult result;
+  std::vector<Tensor> weights;  // model parameters after the run
+  std::uint64_t rng_next = 0;   // post-run rng state witness
+};
+
+class PipelineDeterminismTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    task_ = new testing::RingTask(testing::make_ring_task(300, 50, 211));
+    auto op_gen = task_->generator.with_class_priors({0.6, 0.3, 0.1});
+    Rng rng(212);
+    op_sample_ = new Dataset(op_gen.make_dataset(120, rng));
+    Rng train_rng(213);
+    model_ = new Classifier(testing::train_mlp(task_->train, 12, 8, train_rng));
+  }
+  static void TearDownTestSuite() {
+    delete op_sample_;
+    delete model_;
+    op_sample_ = nullptr;
+    model_ = nullptr;
+    delete task_;
+    task_ = nullptr;
+  }
+
+  static PipelineRun run_once(std::size_t max_retained = 0) {
+    PipelineConfig config;
+    config.rq1.synthetic_size = 300;
+    config.rq1.gmm.components = 3;
+    config.rq3.ball.eps = 0.4f;
+    config.rq3.ball.input_lo = -5.0f;
+    config.rq3.ball.input_hi = 5.0f;
+    config.rq3.steps = 8;
+    config.rq3.restarts = 2;
+    config.rq4.epochs = 2;
+    config.rq5.bins_per_dim = 4;
+    config.rq5.probes_per_assessment = 30;
+    config.rq5.target_pmi = 1e-6;  // never met: run all iterations
+    config.seeds_per_iteration = 24;
+    config.max_iterations = 2;
+    config.query_budget = 100000;
+    config.max_retained_aes = max_retained;
+    const OpTestingPipeline pipeline(config);
+    Classifier model = model_->clone();
+    Rng rng(214);
+    PipelineRun out;
+    out.result = pipeline.run(model, *op_sample_, rng);
+    out.weights = snapshot_parameters(model.network());
+    out.rng_next = rng();  // shared-rng draw count must match exactly
+    return out;
+  }
+
+  static void expect_identical(const PipelineRun& a, const PipelineRun& b,
+                               const std::string& label) {
+    SCOPED_TRACE(label);
+    const PipelineResult& ra = a.result;
+    const PipelineResult& rb = b.result;
+    EXPECT_EQ(ra.total_queries, rb.total_queries);
+    EXPECT_EQ(ra.target_reached, rb.target_reached);
+    EXPECT_EQ(ra.tau, rb.tau);
+    ASSERT_EQ(ra.iterations.size(), rb.iterations.size());
+    for (std::size_t i = 0; i < ra.iterations.size(); ++i) {
+      const IterationRecord& ia = ra.iterations[i];
+      const IterationRecord& ib = rb.iterations[i];
+      EXPECT_EQ(ia.detection.seeds_attacked, ib.detection.seeds_attacked);
+      EXPECT_EQ(ia.detection.aes_found, ib.detection.aes_found);
+      EXPECT_EQ(ia.detection.clean_failures, ib.detection.clean_failures);
+      EXPECT_EQ(ia.detection.operational_aes, ib.detection.operational_aes);
+      EXPECT_EQ(ia.detection.queries_used, ib.detection.queries_used);
+      EXPECT_EQ(ia.retrain.ae_count, ib.retrain.ae_count);
+      EXPECT_EQ(ia.retrain.final_loss, ib.retrain.final_loss);
+      EXPECT_EQ(ia.assessment.pmi_mean, ib.assessment.pmi_mean);
+      EXPECT_EQ(ia.assessment.pmi_upper, ib.assessment.pmi_upper);
+      EXPECT_EQ(ia.assessment.probes, ib.assessment.probes);
+      EXPECT_EQ(ia.assessment.target_met, ib.assessment.target_met);
+      EXPECT_EQ(ia.budget_used_total, ib.budget_used_total);
+    }
+    ASSERT_EQ(ra.all_aes.size(), rb.all_aes.size());
+    for (std::size_t i = 0; i < ra.all_aes.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(ra.all_aes[i].seed, rb.all_aes[i].seed)) << i;
+      EXPECT_TRUE(
+          bitwise_equal(ra.all_aes[i].adversarial, rb.all_aes[i].adversarial))
+          << i;
+      EXPECT_EQ(ra.all_aes[i].naturalness, rb.all_aes[i].naturalness) << i;
+      EXPECT_EQ(ra.all_aes[i].is_operational, rb.all_aes[i].is_operational)
+          << i;
+    }
+    // The RQ1 GMM fit trace is the strictest float witness.
+    ASSERT_EQ(ra.gmm_trace.mean_log_likelihood.size(),
+              rb.gmm_trace.mean_log_likelihood.size());
+    for (std::size_t i = 0; i < ra.gmm_trace.mean_log_likelihood.size(); ++i) {
+      EXPECT_EQ(ra.gmm_trace.mean_log_likelihood[i],
+                rb.gmm_trace.mean_log_likelihood[i])
+          << i;
+    }
+    // Retrained weights and the shared rng's post-run state must agree:
+    // both runs consumed the same draws in the same order.
+    ASSERT_EQ(a.weights.size(), b.weights.size());
+    for (std::size_t i = 0; i < a.weights.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(a.weights[i], b.weights[i])) << "param " << i;
+    }
+    EXPECT_EQ(a.rng_next, b.rng_next);
+  }
+
+  static testing::RingTask* task_;
+  static Dataset* op_sample_;
+  static Classifier* model_;
+};
+
+testing::RingTask* PipelineDeterminismTest::task_ = nullptr;
+Dataset* PipelineDeterminismTest::op_sample_ = nullptr;
+Classifier* PipelineDeterminismTest::model_ = nullptr;
+
+TEST_F(PipelineDeterminismTest, BitIdenticalAcrossThreadCounts) {
+  GlobalPoolGuard guard;
+  ThreadPool::configure_global(1);
+  const PipelineRun baseline = run_once();
+  ASSERT_FALSE(baseline.result.iterations.empty());
+  ASSERT_FALSE(baseline.result.gmm_trace.mean_log_likelihood.empty());
+  ASSERT_FALSE(baseline.result.all_aes.empty());
+
+  ThreadPool::configure_global(8);
+  expect_identical(baseline, run_once(), "threads=8");
+}
+
+TEST_F(PipelineDeterminismTest, TraceNamesEveryStepInOrder) {
+  const PipelineRun run = run_once();
+  const std::vector<StepTiming>& steps = run.result.trace.stages;
+  const char* const names[] = {"sample", "fuzz", "retrain", "assess"};
+  ASSERT_EQ(steps.size(), std::size(names));
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].name, names[i]);
+    EXPECT_EQ(steps[i].items, run.result.iterations.size()) << names[i];
+    EXPECT_EQ(steps[i].peak_queue, 0u) << names[i];
+  }
+  // `fuzz` sees every sampled seed.
+  EXPECT_EQ(steps[1].rows, steps[0].rows);
+}
+
+TEST_F(PipelineDeterminismTest, MaxRetainedAesCapsRetentionNotStats) {
+  const PipelineRun full = run_once();
+  ASSERT_GE(full.result.all_aes.size(), 3u)
+      << "config must find enough AEs for the cap to bind";
+  const std::size_t cap = full.result.all_aes.size() / 2;
+
+  const PipelineRun capped = run_once(cap);
+  // Retention capped to the first `cap` AEs in canonical order...
+  ASSERT_EQ(capped.result.all_aes.size(), cap);
+  for (std::size_t i = 0; i < cap; ++i) {
+    EXPECT_TRUE(bitwise_equal(capped.result.all_aes[i].adversarial,
+                              full.result.all_aes[i].adversarial))
+        << i;
+  }
+  // ...while stats, accounting, and the retrained model are untouched.
+  ASSERT_EQ(capped.result.iterations.size(), full.result.iterations.size());
+  for (std::size_t i = 0; i < capped.result.iterations.size(); ++i) {
+    EXPECT_EQ(capped.result.iterations[i].detection.aes_found,
+              full.result.iterations[i].detection.aes_found);
+    EXPECT_EQ(capped.result.iterations[i].detection.operational_aes,
+              full.result.iterations[i].detection.operational_aes);
+  }
+  EXPECT_EQ(capped.result.total_queries, full.result.total_queries);
+  ASSERT_EQ(capped.weights.size(), full.weights.size());
+  for (std::size_t i = 0; i < capped.weights.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(capped.weights[i], full.weights[i])) << i;
+  }
+  EXPECT_EQ(capped.rng_next, full.rng_next);
 }
 
 }  // namespace

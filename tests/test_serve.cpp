@@ -1,6 +1,6 @@
 // Tests for the online detection service: queue semantics, detector-pass
-// bit-identity, batch-composition invariance, shedding, and the
-// drift-triggered background re-fit swap.
+// bit-identity, batch-composition invariance, shedding, request
+// validation, and the drift-triggered background re-fit swap.
 #include "serve/service.h"
 
 #include <atomic>
@@ -12,18 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/density_detector.h"
 #include "naturalness/density_naturalness.h"
 #include "op/class_conditional.h"
 #include "op/gmm.h"
 #include "serve/detector.h"
-#include "serve/queue.h"
 #include "test_helpers.h"
+#include "util/channel.h"
 #include "util/parallel.h"
 
 namespace opad {
 namespace {
 
-using serve::BoundedQueue;
 using serve::DetectionService;
 using serve::DetectResult;
 using serve::OnlineDriftTrigger;
@@ -35,8 +35,10 @@ struct GlobalPoolGuard {
   ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
 };
 
+// The service's bounded request queue is an opad::Channel.
+
 TEST(BoundedQueue, FifoAndBatchDrain) {
-  BoundedQueue<int> queue(8);
+  Channel<int> queue(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(queue.try_push(i));
   EXPECT_EQ(queue.size(), 5u);
   const auto batch =
@@ -48,7 +50,7 @@ TEST(BoundedQueue, FifoAndBatchDrain) {
 }
 
 TEST(BoundedQueue, TryPushShedsWhenFull) {
-  BoundedQueue<int> queue(2);
+  Channel<int> queue(2);
   EXPECT_TRUE(queue.try_push(1));
   EXPECT_TRUE(queue.try_push(2));
   EXPECT_FALSE(queue.try_push(3));
@@ -60,7 +62,7 @@ TEST(BoundedQueue, TryPushShedsWhenFull) {
 }
 
 TEST(BoundedQueue, PopBatchWaitsForDelayThenReturnsPartial) {
-  BoundedQueue<int> queue(8);
+  Channel<int> queue(8);
   std::thread producer([&] {
     queue.try_push(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -77,7 +79,7 @@ TEST(BoundedQueue, PopBatchWaitsForDelayThenReturnsPartial) {
 }
 
 TEST(BoundedQueue, PushBlocksUntilSpace) {
-  BoundedQueue<int> queue(1);
+  Channel<int> queue(1);
   EXPECT_TRUE(queue.push(1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
@@ -89,6 +91,75 @@ TEST(BoundedQueue, PushBlocksUntilSpace) {
   EXPECT_EQ(queue.pop_batch(1, std::chrono::microseconds(0)).size(), 1u);
   producer.join();
   EXPECT_TRUE(pushed.load());
+}
+
+TEST(Channel, MultiProducerDeliversEverythingOnce) {
+  Channel<int> channel(64);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 200;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&channel, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_TRUE(channel.push(p * kPerProducer + i));
+      }
+    });
+  }
+  std::vector<int> seen(kProducers * kPerProducer, 0);
+  std::size_t received = 0;
+  while (received < seen.size()) {
+    const auto batch =
+        channel.pop_batch(32, std::chrono::microseconds(2000));
+    for (int v : batch) {
+      ASSERT_GE(v, 0);
+      ASSERT_LT(static_cast<std::size_t>(v), seen.size());
+      seen[static_cast<std::size_t>(v)] += 1;
+    }
+    received += batch.size();
+  }
+  for (std::thread& t : producers) t.join();
+  for (int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(Channel, TryPushShedsWhenFull) {
+  Channel<int> channel(2);
+  EXPECT_TRUE(channel.try_push(1));
+  EXPECT_TRUE(channel.try_push(2));
+  EXPECT_FALSE(channel.try_push(3));  // full: shed, not block
+  const auto first = channel.pop_batch(1, std::chrono::microseconds(0));
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], 1);
+  EXPECT_TRUE(channel.try_push(3));  // space again
+  EXPECT_EQ(channel.size(), 2u);
+}
+
+TEST(Channel, CloseFailsPushesButDrainsPendingItems) {
+  Channel<int> channel(8);
+  EXPECT_TRUE(channel.push(1));
+  EXPECT_TRUE(channel.push(2));
+  channel.close();
+  EXPECT_TRUE(channel.closed());
+  EXPECT_FALSE(channel.push(3));
+  EXPECT_FALSE(channel.try_push(3));
+  // Pending items remain poppable after close.
+  const auto first = channel.pop_batch(1, std::chrono::microseconds(0));
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], 1);
+  const auto rest = channel.pop_batch(8, std::chrono::microseconds(0));
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0], 2);
+  // Closed and drained: pop_batch returns empty instead of blocking.
+  EXPECT_TRUE(channel.pop_batch(8, std::chrono::microseconds(0)).empty());
+}
+
+TEST(Channel, CloseWakesBlockedProducer) {
+  Channel<int> channel(1);
+  ASSERT_TRUE(channel.push(1));
+  std::atomic<int> result{-1};
+  std::thread producer([&] { result = channel.push(2) ? 1 : 0; });
+  channel.close();
+  producer.join();
+  EXPECT_EQ(result.load(), 0);  // woken with failure, item dropped
 }
 
 class ServeTest : public ::testing::Test {
@@ -175,11 +246,11 @@ TEST_F(ServeTest, LogDensityBatchBitIdenticalAcrossThreadCounts) {
   }
   ThreadPool::configure_global(1);
   std::vector<double> serial(inputs.size());
-  serve::log_density_batch(*profile_, batch, serial);
+  opad::log_density_batch(*profile_, batch, serial);
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool::configure_global(threads);
     std::vector<double> parallel(inputs.size());
-    serve::log_density_batch(*profile_, batch, parallel);
+    opad::log_density_batch(*profile_, batch, parallel);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       EXPECT_EQ(parallel[i], serial[i])
           << "row " << i << " at " << threads << " threads";
@@ -285,6 +356,34 @@ TEST_F(ServeTest, SubmitAfterStopThrows) {
   service.stop();
   EXPECT_THROW(service.submit(make_inputs(1, 98)[0]), PreconditionError);
   EXPECT_FALSE(service.try_submit(make_inputs(1, 98)[0]).has_value());
+}
+
+TEST_F(ServeTest, InvalidRequestThrowsOnCallerAndServiceKeepsServing) {
+  ServiceConfig config;
+  DetectionService service(model_->clone(), profile_, tau_, config);
+  service.start();
+  const std::size_t dim = task_->train.dim();
+  Tensor nan_row = make_inputs(1, 100)[0];
+  nan_row.data()[0] = std::nanf("");
+  Tensor inf_row = make_inputs(1, 101)[0];
+  inf_row.data()[dim - 1] = -INFINITY;
+  for (const Tensor& bad : {Tensor({dim + 1}), Tensor({dim - 1}), nan_row,
+                            inf_row}) {
+    EXPECT_THROW(service.submit(bad), PreconditionError);
+    EXPECT_THROW(service.try_submit(bad), PreconditionError);
+  }
+  EXPECT_EQ(service.stats().shed, 0u);  // a rejected request is not shed
+
+  const auto inputs = make_inputs(3, 102);
+  const auto expected = reference_results(inputs);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const DetectResult result = service.submit(inputs[i]).get();
+    EXPECT_EQ(result.label, expected[i].label) << i;
+    EXPECT_EQ(result.naturalness, expected[i].naturalness) << i;
+    EXPECT_EQ(result.natural, expected[i].natural) << i;
+  }
+  service.stop();
+  EXPECT_EQ(service.stats().served, inputs.size());
 }
 
 TEST_F(ServeTest, DriftTriggeredRefitSwapsProfileWithoutStalling) {
