@@ -395,21 +395,43 @@ BENCHMARK(BM_AttackBatch)
     ->Args({8, 10})
     ->Args({8, 40});
 
-void BM_GmmLogDensity(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Rng rng(6);
-  const Tensor data = Tensor::randn({400, 8}, rng);
+// Fitted GMM for the density-query benchmarks: `d`-dimensional, `k`
+// components, fitted on standard-normal rows.
+GaussianMixtureModel bench_gmm(std::size_t d, std::size_t k, Rng& rng) {
+  const Tensor data = Tensor::randn({400, d}, rng);
   GmmConfig config;
   config.components = k;
   config.max_iterations = 10;
-  const auto gmm = GaussianMixtureModel::fit(data, config, rng);
-  const Tensor x = Tensor::randn({8}, rng);
+  return GaussianMixtureModel::fit(data, config, rng);
+}
+
+void BM_GmmLogDensity(benchmark::State& state) {
+  const auto d = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  Rng rng(6);
+  const auto gmm = bench_gmm(d, k, rng);
+  const Tensor x = Tensor::randn({d}, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gmm.log_density(x));
   }
   set_rss_counter(state);
 }
-BENCHMARK(BM_GmmLogDensity)->Arg(4)->Arg(16);
+// (d, k): the small 8-d models plus the digits shape (64-d, k = 10), the
+// OP model every seed weight and fuzzing step queries.
+BENCHMARK(BM_GmmLogDensity)->Args({8, 4})->Args({8, 16})->Args({64, 10});
+
+void BM_GmmLogDensityGradient(benchmark::State& state) {
+  const auto d = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  Rng rng(6);
+  const auto gmm = bench_gmm(d, k, rng);
+  const Tensor x = Tensor::randn({d}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gmm.log_density_gradient(x));
+  }
+  set_rss_counter(state);
+}
+BENCHMARK(BM_GmmLogDensityGradient)->Args({8, 4})->Args({64, 10});
 
 void BM_GmmFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

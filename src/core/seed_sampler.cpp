@@ -102,11 +102,9 @@ std::vector<double> SeedSampler::weights(Classifier& model,
     // Work with shifted log densities to avoid under/overflow, then
     // exponentiate the gamma-scaled values.
     std::vector<double> log_p(n);
+    log_density_batch(*profile_, pool.inputs(), log_p);
     double max_lp = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      log_p[i] = profile_->log_density(pool.sample(i).x);
-      max_lp = std::max(max_lp, log_p[i]);
-    }
+    for (double lp : log_p) max_lp = std::max(max_lp, lp);
     for (std::size_t i = 0; i < n; ++i) {
       // Floor at exp(-30) relative density so no seed is unreachable.
       density[i] = std::exp(std::max(log_p[i] - max_lp, -30.0));

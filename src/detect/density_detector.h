@@ -38,13 +38,4 @@ class DensityDetector : public Detector {
   ProfilePtr profile_;
 };
 
-/// Writes log p_OP(row) for every row of `inputs` [n, d] into `out`
-/// (size n). Rows are scored in parallel on the global pool; for a
-/// ClassConditionalProfile the (row, class) term grid is additionally
-/// sharded across workers and folded serially in ascending class order,
-/// which is bitwise equal to calling profile.log_density() row by row
-/// (test-pinned — the serve layer's invariance rests on it).
-void log_density_batch(const OperationalProfile& profile, const Tensor& inputs,
-                       std::span<double> out);
-
 }  // namespace opad

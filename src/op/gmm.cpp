@@ -1,8 +1,10 @@
 #include "op/gmm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -14,6 +16,34 @@
 
 namespace opad {
 
+namespace {
+
+/// Components per kernel block: one 128-bit vector of doubles, the
+/// baseline SIMD width of x86-64 and AArch64. Vector arithmetic rounds
+/// every lane exactly like the scalar expression.
+constexpr std::size_t kBlock = 2;
+using Block = double __attribute__((vector_size(kBlock * sizeof(double))));
+
+/// k rounded up to whole kernel blocks.
+std::size_t padded(std::size_t k) { return (k + kBlock - 1) / kBlock * kBlock; }
+
+/// Zeroed storage for one row's k component terms: on the stack for the
+/// usual handful of components, on the heap beyond that.
+class TermBuffer {
+ public:
+  explicit TermBuffer(std::size_t k) {
+    if (k > kInline) heap_.resize(k);
+  }
+  double* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+
+ private:
+  static constexpr std::size_t kInline = 32;
+  std::array<double, kInline> inline_{};
+  std::vector<double> heap_;
+};
+
+}  // namespace
+
 GaussianMixtureModel::GaussianMixtureModel(std::vector<Component> components)
     : components_(std::move(components)) {
   OPAD_EXPECTS(!components_.empty());
@@ -22,37 +52,82 @@ GaussianMixtureModel::GaussianMixtureModel(std::vector<Component> components)
   double total = 0.0;
   for (const auto& c : components_) {
     OPAD_EXPECTS(c.mean.size() == d && c.variance.size() == d);
-    OPAD_EXPECTS(c.weight > 0.0);
-    for (double v : c.variance) OPAD_EXPECTS(v > 0.0);
+    OPAD_EXPECTS(std::isfinite(c.weight) && c.weight > 0.0);
+    for (double m : c.mean) OPAD_EXPECTS(std::isfinite(m));
+    for (double v : c.variance) OPAD_EXPECTS(std::isfinite(v) && v > 0.0);
     total += c.weight;
   }
+  OPAD_EXPECTS(std::isfinite(total));
   for (auto& c : components_) c.weight /= total;
+  refresh_cache();
 }
 
 std::size_t GaussianMixtureModel::dim() const {
   return components_.front().mean.size();
 }
 
-double GaussianMixtureModel::component_log_pdf(std::size_t k,
-                                               const Tensor& x) const {
-  const auto& c = components_[k];
-  double quad = 0.0, log_det = 0.0;
-  for (std::size_t j = 0; j < c.mean.size(); ++j) {
-    const double d = static_cast<double>(x.at(j)) - c.mean[j];
-    quad += d * d / c.variance[j];
-    log_det += std::log(c.variance[j]);
+void GaussianMixtureModel::refresh_cache() {
+  const std::size_t k = components_.size(), d = dim();
+  const std::size_t kp = padded(k);
+  log_weight_.resize(k);
+  base_.resize(k);
+  // Padding lanes hold mean 0 and variance 1: finite terms that the
+  // kernel computes alongside the real ones and never reports.
+  mean_t_.assign(d * kp, 0.0);
+  var_t_.assign(d * kp, 1.0);
+  for (std::size_t c = 0; c < k; ++c) {
+    const auto& comp = components_[c];
+    log_weight_[c] = std::log(comp.weight);
+    double log_det = 0.0;
+    for (std::size_t j = 0; j < d; ++j) {
+      log_det += std::log(comp.variance[j]);
+      mean_t_[j * kp + c] = comp.mean[j];
+      var_t_[j * kp + c] = comp.variance[j];
+    }
+    base_[c] = static_cast<double>(d) * std::log(2.0 * M_PI) + log_det;
   }
-  return -0.5 * (static_cast<double>(dim()) * std::log(2.0 * M_PI) +
-                 log_det + quad);
+}
+
+void GaussianMixtureModel::component_log_terms(std::span<const float> x,
+                                               double* terms) const {
+  // kBlock components at a time, their Mahalanobis sums quad_c held in
+  // one vector register and accumulated j-ascending.
+  const std::size_t k = components_.size();
+  const std::size_t kp = padded(k);
+  for (std::size_t c0 = 0; c0 < kp; c0 += kBlock) {
+    Block quad = {};
+    const double* mean = mean_t_.data() + c0;
+    const double* var = var_t_.data() + c0;
+    for (std::size_t j = 0; j < x.size(); ++j, mean += kp, var += kp) {
+      Block m{}, v{};
+      std::memcpy(&m, mean, sizeof(Block));
+      std::memcpy(&v, var, sizeof(Block));
+      const Block diff = static_cast<double>(x[j]) - m;
+      quad += diff * diff / v;
+    }
+    for (std::size_t l = 0; l < kBlock && c0 + l < k; ++l) {
+      const std::size_t c = c0 + l;
+      terms[c] = log_weight_[c] + -0.5 * (base_[c] + quad[l]);
+    }
+  }
+}
+
+void GaussianMixtureModel::posterior(std::span<const float> x,
+                                     double* resp) const {
+  const std::size_t k = components_.size();
+  component_log_terms(x, resp);
+  const double log_z = log_sum_exp(std::span<const double>(resp, k));
+  for (std::size_t c = 0; c < k; ++c) resp[c] = std::exp(resp[c] - log_z);
 }
 
 double GaussianMixtureModel::log_density(const Tensor& x) const {
   OPAD_EXPECTS(x.rank() == 1 && x.dim(0) == dim());
+  const std::size_t k = components_.size();
+  TermBuffer buffer(k);
+  const double* terms = buffer.data();
+  component_log_terms(x.data(), buffer.data());
   double acc = -std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    acc = log_add_exp(acc,
-                      std::log(components_[k].weight) + component_log_pdf(k, x));
-  }
+  for (std::size_t c = 0; c < k; ++c) acc = log_add_exp(acc, terms[c]);
   return acc;
 }
 
@@ -71,28 +146,37 @@ Tensor GaussianMixtureModel::sample(Rng& rng) const {
 std::vector<double> GaussianMixtureModel::responsibilities(
     const Tensor& x) const {
   OPAD_EXPECTS(x.rank() == 1 && x.dim(0) == dim());
-  std::vector<double> log_terms(components_.size());
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    log_terms[k] = std::log(components_[k].weight) + component_log_pdf(k, x);
-  }
-  const double log_z = log_sum_exp(log_terms);
   std::vector<double> resp(components_.size());
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    resp[k] = std::exp(log_terms[k] - log_z);
-  }
+  posterior(x.data(), resp.data());
   return resp;
 }
 
 Tensor GaussianMixtureModel::log_density_gradient(const Tensor& x) const {
-  const auto resp = responsibilities(x);
-  Tensor grad({dim()});
-  for (std::size_t k = 0; k < components_.size(); ++k) {
-    const auto& c = components_[k];
-    for (std::size_t j = 0; j < dim(); ++j) {
-      grad.at(j) += static_cast<float>(
-          resp[k] * -(static_cast<double>(x.at(j)) - c.mean[j]) /
-          c.variance[j]);
+  OPAD_EXPECTS(x.rank() == 1 && x.dim(0) == dim());
+  const std::size_t k = components_.size(), d = dim();
+  const std::size_t kp = padded(k);
+  TermBuffer resp(kp);  // padding lanes stay 0
+  posterior(x.data(), resp.data());
+  Tensor grad({d});
+  const std::span<const float> xs = x.data();
+  const std::span<float> g = grad.data();
+  for (std::size_t j = 0; j < d; ++j) {
+    const double xj = static_cast<double>(xs[j]);
+    const double* mean = mean_t_.data() + j * kp;
+    const double* var = var_t_.data() + j * kp;
+    // grad[j] receives its k float additions in ascending component order.
+    float gj = 0.0f;
+    for (std::size_t c0 = 0; c0 < kp; c0 += kBlock) {
+      Block r{}, m{}, v{};
+      std::memcpy(&r, resp.data() + c0, sizeof(Block));
+      std::memcpy(&m, mean + c0, sizeof(Block));
+      std::memcpy(&v, var + c0, sizeof(Block));
+      const Block step = r * -(xj - m) / v;
+      for (std::size_t l = 0; l < kBlock && c0 + l < k; ++l) {
+        gj += static_cast<float>(step[l]);
+      }
     }
+    g[j] = gj;
   }
   return grad;
 }
@@ -376,6 +460,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const Tensor& data,
     }
     prev_ll = mean_ll;
   }
+  model.refresh_cache();
   return model;
 }
 
@@ -752,6 +837,7 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
     }
     prev_ll = mean_ll;
   }
+  model.refresh_cache();
   return model;
 }
 
@@ -802,10 +888,25 @@ GaussianMixtureModel load_gmm(std::istream& is) {
     c.variance.resize(dim);
     for (double& m : c.mean) m = read_pod<double>(is);
     for (double& v : c.variance) v = read_pod<double>(is);
-    if (c.weight <= 0.0) throw IoError("non-positive weight in GMM stream");
-    for (double v : c.variance) {
-      if (v <= 0.0) throw IoError("non-positive variance in GMM stream");
+    // Checked here, before construction, so that every malformed field
+    // surfaces as an IoError rather than the constructor's
+    // PreconditionError.
+    if (!(std::isfinite(c.weight) && c.weight > 0.0)) {
+      throw IoError("non-positive or non-finite weight in GMM stream");
     }
+    for (double m : c.mean) {
+      if (!std::isfinite(m)) throw IoError("non-finite mean in GMM stream");
+    }
+    for (double v : c.variance) {
+      if (!(std::isfinite(v) && v > 0.0)) {
+        throw IoError("non-positive or non-finite variance in GMM stream");
+      }
+    }
+  }
+  double total_weight = 0.0;
+  for (const auto& c : components) total_weight += c.weight;
+  if (!std::isfinite(total_weight)) {
+    throw IoError("GMM weights overflow when normalised");
   }
   return GaussianMixtureModel(std::move(components));
 }

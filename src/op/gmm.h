@@ -7,6 +7,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,8 @@ class GaussianMixtureModel : public OperationalProfile {
   };
 
   /// Constructs directly from components (weights normalised internally).
+  /// Weights, means and variances must be finite, weights and variances
+  /// positive (PreconditionError otherwise).
   explicit GaussianMixtureModel(std::vector<Component> components);
 
   /// Fits a GMM to the rows of `data` [n, d] with EM (k-means++ init).
@@ -84,9 +87,25 @@ class GaussianMixtureModel : public OperationalProfile {
   const std::vector<Component>& components() const { return components_; }
 
  private:
-  double component_log_pdf(std::size_t k, const Tensor& x) const;
+  /// Recomputes the evaluation cache from components_. Every code path
+  /// that changes components_ (constructor, end of both fits) calls it.
+  void refresh_cache();
+
+  /// The row kernel behind every query: writes
+  /// log w_c + log N(x | mean_c, variance_c) for each component c into
+  /// `terms` (size k). x has length dim().
+  void component_log_terms(std::span<const float> x, double* terms) const;
+
+  /// Posterior p(c | x) into `resp` (size k), from the kernel's terms.
+  void posterior(std::span<const float> x, double* resp) const;
 
   std::vector<Component> components_;
+  // Evaluation cache (see DESIGN.md "GMM evaluation kernel"):
+  // log_weight_[c] = log w_c; base_[c] = d log(2 pi) + sum_j log var_cj,
+  // summed j-ascending; mean_t_ and var_t_ are the means and variances
+  // transposed to [d, k'] (k rounded up to whole kernel blocks), so the
+  // kernel reads one contiguous block of components per coordinate.
+  std::vector<double> log_weight_, base_, mean_t_, var_t_;
 };
 
 /// (De)serialisation of a fitted GMM: a learned OP is a deployment

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "detect/density_detector.h"
 #include "util/error.h"
 
 namespace opad::serve {

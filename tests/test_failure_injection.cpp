@@ -2,7 +2,11 @@
 // adversarially degenerate inputs and verify it fails loudly (typed
 // exceptions) or degrades gracefully — never silently corrupts results.
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +50,71 @@ TEST(FailureInjection, GmmDensityOfExtremePointIsFiniteLog) {
   EXPECT_TRUE(std::isfinite(lp) ||
               lp == -std::numeric_limits<double>::infinity());
   EXPECT_LT(lp, -1e6);
+}
+
+/// A component carrying one non-finite parameter, named by field and value.
+struct NonFiniteGmmCase {
+  std::string name;
+  GaussianMixtureModel::Component bad;
+};
+
+/// The six non-finite parameter cases, each in the second of two
+/// otherwise valid 2-d components.
+std::vector<NonFiniteGmmCase> non_finite_gmm_cases() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  GaussianMixtureModel::Component ok;
+  ok.weight = 0.5;
+  ok.mean = {1.0, -1.0};
+  ok.variance = {0.5, 2.0};
+  std::vector<NonFiniteGmmCase> cases;
+  for (const double v : {nan, inf}) {
+    const std::string tag = std::isnan(v) ? "NaN " : "+inf ";
+    auto weight = ok;
+    weight.weight = v;
+    auto mean = ok;
+    mean.mean[1] = v;
+    auto variance = ok;
+    variance.variance[0] = v;
+    cases.push_back({tag + "weight", weight});
+    cases.push_back({tag + "mean", mean});
+    cases.push_back({tag + "variance", variance});
+  }
+  return cases;
+}
+
+/// Serialises components in the save_gmm format without constructing a
+/// model (save_gmm itself only sees valid models).
+std::string gmm_stream(const std::vector<GaussianMixtureModel::Component>& cs) {
+  std::ostringstream os;
+  auto put = [&](const auto& value) {
+    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(std::uint32_t{0x4f50474d});
+  put(static_cast<std::uint64_t>(cs.size()));
+  put(static_cast<std::uint64_t>(cs.front().mean.size()));
+  for (const auto& c : cs) {
+    put(c.weight);
+    for (double m : c.mean) put(m);
+    for (double v : c.variance) put(v);
+  }
+  return os.str();
+}
+
+TEST(FailureInjection, GmmRejectsNonFiniteParameters) {
+  GaussianMixtureModel::Component ok;
+  ok.weight = 0.5;
+  ok.mean = {0.0, 0.0};
+  ok.variance = {1.0, 1.0};
+  for (const auto& c : non_finite_gmm_cases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_THROW(GaussianMixtureModel({ok, c.bad}), PreconditionError);
+    std::istringstream is(gmm_stream({ok, c.bad}));
+    EXPECT_THROW(load_gmm(is), IoError);
+  }
+  // The valid stream itself loads.
+  std::istringstream is(gmm_stream({ok, ok}));
+  EXPECT_EQ(load_gmm(is).components().size(), 2u);
 }
 
 TEST(FailureInjection, AttackRejectsWrongSeedShape) {

@@ -1,11 +1,17 @@
 #include "op/gmm.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "op/class_conditional.h"
 #include "test_helpers.h"
+#include "util/special_math.h"
 
 namespace opad {
 namespace {
@@ -213,6 +219,170 @@ TEST(GmmFit, TraceRecordsMonotonishLikelihoodPerIteration) {
   // returned model is one M step newer and must score at least as well.
   EXPECT_GE(gmm.mean_log_likelihood(data.inputs()),
             trace.mean_log_likelihood.back() - 1e-6);
+}
+
+// --- Bit identity of the evaluation kernel against the plain formula ---
+//
+// The reference below is the per-component evaluation spelled out the
+// obvious way: for each component, j-ascending sums of the Mahalanobis
+// term and of log variance, then log w + (-0.5 (d log 2pi + log det +
+// quad)), folded k-ascending with log_add_exp from -inf. The kernel
+// caches the normalisers and reorders memory, never arithmetic, so every
+// query must match it bit for bit.
+
+using Component = GaussianMixtureModel::Component;
+
+double reference_log_term(const Component& c, const Tensor& x) {
+  double quad = 0.0, log_det = 0.0;
+  for (std::size_t j = 0; j < c.mean.size(); ++j) {
+    const double diff = static_cast<double>(x.at(j)) - c.mean[j];
+    quad += diff * diff / c.variance[j];
+    log_det += std::log(c.variance[j]);
+  }
+  return std::log(c.weight) +
+         -0.5 * (static_cast<double>(c.mean.size()) * std::log(2.0 * M_PI) +
+                 log_det + quad);
+}
+
+double reference_log_density(const GaussianMixtureModel& gmm,
+                             const Tensor& x) {
+  double acc = -std::numeric_limits<double>::infinity();
+  for (const auto& c : gmm.components()) {
+    acc = log_add_exp(acc, reference_log_term(c, x));
+  }
+  return acc;
+}
+
+std::vector<double> reference_responsibilities(const GaussianMixtureModel& gmm,
+                                               const Tensor& x) {
+  std::vector<double> terms;
+  for (const auto& c : gmm.components()) {
+    terms.push_back(reference_log_term(c, x));
+  }
+  const double log_z = log_sum_exp(terms);
+  for (double& t : terms) t = std::exp(t - log_z);
+  return terms;
+}
+
+Tensor reference_gradient(const GaussianMixtureModel& gmm, const Tensor& x) {
+  const auto resp = reference_responsibilities(gmm, x);
+  Tensor grad({gmm.dim()});
+  for (std::size_t k = 0; k < resp.size(); ++k) {
+    const auto& c = gmm.components()[k];
+    for (std::size_t j = 0; j < gmm.dim(); ++j) {
+      grad.at(j) += static_cast<float>(
+          resp[k] * -(static_cast<double>(x.at(j)) - c.mean[j]) /
+          c.variance[j]);
+    }
+  }
+  return grad;
+}
+
+/// Query points for `gmm`: standard-normal rows, a copy of every
+/// component mean, and one far point where most responsibilities
+/// underflow.
+std::vector<Tensor> query_points(const GaussianMixtureModel& gmm, Rng& rng) {
+  std::vector<Tensor> points;
+  for (int i = 0; i < 4; ++i) points.push_back(Tensor::randn({gmm.dim()}, rng));
+  for (const auto& c : gmm.components()) {
+    Tensor x({gmm.dim()});
+    for (std::size_t j = 0; j < gmm.dim(); ++j) {
+      x.at(j) = static_cast<float>(c.mean[j]);
+    }
+    points.push_back(std::move(x));
+  }
+  Tensor far({gmm.dim()});
+  for (std::size_t j = 0; j < gmm.dim(); ++j) {
+    far.at(j) = j % 2 == 0 ? 40.0f : -25.0f;
+  }
+  points.push_back(std::move(far));
+  return points;
+}
+
+void expect_matches_reference(const GaussianMixtureModel& gmm, Rng& rng) {
+  for (const Tensor& x : query_points(gmm, rng)) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(gmm.log_density(x)),
+              std::bit_cast<std::uint64_t>(reference_log_density(gmm, x)));
+    const auto resp = gmm.responsibilities(x);
+    const auto ref_resp = reference_responsibilities(gmm, x);
+    ASSERT_EQ(resp.size(), ref_resp.size());
+    for (std::size_t c = 0; c < resp.size(); ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(resp[c]),
+                std::bit_cast<std::uint64_t>(ref_resp[c]))
+          << "component " << c;
+    }
+    const Tensor grad = gmm.log_density_gradient(x);
+    const Tensor ref_grad = reference_gradient(gmm, x);
+    for (std::size_t j = 0; j < gmm.dim(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(grad.at(j)),
+                std::bit_cast<std::uint32_t>(ref_grad.at(j)))
+          << "coordinate " << j;
+    }
+  }
+}
+
+TEST(GmmKernel, BitIdenticalToReferenceAcrossShapes) {
+  Rng rng(41);
+  // k = 40 also covers more components than the kernel keeps on the stack.
+  for (const std::size_t d : {1u, 2u, 64u}) {
+    for (const std::size_t k : {1u, 3u, 10u, 17u, 40u}) {
+      std::vector<Component> comps(k);
+      for (auto& c : comps) {
+        c.weight = rng.uniform(0.1, 2.0);
+        for (std::size_t j = 0; j < d; ++j) {
+          c.mean.push_back(rng.normal(0.0, 2.0));
+          c.variance.push_back(rng.uniform(0.05, 3.0));
+        }
+      }
+      SCOPED_TRACE(::testing::Message() << "d " << d << " k " << k);
+      expect_matches_reference(GaussianMixtureModel(std::move(comps)), rng);
+    }
+  }
+}
+
+TEST(GmmKernel, BitIdenticalToReferenceAfterFitAndReload) {
+  Rng rng(42);
+  const Tensor data = Tensor::randn({300, 8}, rng);
+  GmmConfig config;
+  config.components = 5;
+  config.max_iterations = 15;
+  const auto fitted = GaussianMixtureModel::fit(data, config, rng);
+  {
+    SCOPED_TRACE("fitted");
+    expect_matches_reference(fitted, rng);
+  }
+  std::stringstream buffer;
+  save_gmm(fitted, buffer);
+  const auto reloaded = load_gmm(buffer);
+  {
+    SCOPED_TRACE("reloaded");
+    expect_matches_reference(reloaded, rng);
+  }
+}
+
+TEST(GmmKernel, BitIdenticalToReferenceInsideClassConditionalProfile) {
+  Rng rng(43);
+  const auto generator = GaussianClustersGenerator::make_ring(3, 3.0, 0.4);
+  const Dataset data = generator.make_dataset(240, rng);
+  ClassConditionalConfig config;
+  config.gmm.components = 2;
+  config.gmm.max_iterations = 10;
+  const auto profile = ClassConditionalProfile::fit(data, config, rng);
+  const auto priors = profile.class_priors();
+  for (std::size_t cls = 0; cls < profile.num_classes(); ++cls) {
+    SCOPED_TRACE(::testing::Message() << "class " << cls);
+    expect_matches_reference(profile.class_model(cls), rng);
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    const Tensor x = data.sample(i).x;
+    double acc = -std::numeric_limits<double>::infinity();
+    for (std::size_t cls = 0; cls < profile.num_classes(); ++cls) {
+      acc = log_add_exp(acc, std::log(priors[cls]) + reference_log_density(
+                                                         profile.class_model(cls), x));
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(profile.log_density(x)),
+              std::bit_cast<std::uint64_t>(acc));
+  }
 }
 
 TEST(GmmFit, RejectsTooFewSamples) {

@@ -1,15 +1,20 @@
 #include "core/seed_sampler.h"
+#include <algorithm>
+#include <bit>
 #include <cmath>
-
+#include <cstdint>
 #include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "nn/metrics.h"
+#include "op/class_conditional.h"
 #include "op/generator_profile.h"
+#include "op/gmm.h"
 #include "op/histogram.h"
 #include "test_helpers.h"
+#include "util/parallel.h"
 
 namespace opad {
 namespace {
@@ -199,6 +204,51 @@ TEST_F(SeedSamplerTest, AllocationShortfallRedistributed) {
       *model_, task_->test, partition, allocation, rng);
   // Shortfall redistributed to other rows rather than dropped.
   EXPECT_EQ(picks.size(), 8u);
+}
+
+TEST_F(SeedSamplerTest, BatchedWeightsMatchPerRowLoopAcrossThreadCounts) {
+  // Restores the global pool to its default when the sweep exits.
+  struct GlobalPoolGuard {
+    ~GlobalPoolGuard() { ThreadPool::configure_global(0); }
+  } guard;
+  Rng rng(23);
+  GmmConfig gmm;
+  gmm.components = 4;
+  gmm.max_iterations = 10;
+  ClassConditionalConfig cc;
+  cc.gmm.components = 2;
+  cc.gmm.max_iterations = 10;
+  const std::vector<ProfilePtr> profiles = {
+      profile_,
+      std::make_shared<GaussianMixtureModel>(
+          GaussianMixtureModel::fit(task_->train.inputs(), gmm, rng)),
+      std::make_shared<ClassConditionalProfile>(
+          ClassConditionalProfile::fit(task_->train, cc, rng))};
+  SeedSamplerConfig config;
+  config.aux = AuxiliaryKind::kNone;  // w = density^gamma exactly
+  const Dataset& pool = task_->test;
+  for (std::size_t p = 0; p < profiles.size(); ++p) {
+    // Reference: every row scored on its own, serially.
+    std::vector<double> log_p(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      log_p[i] = profiles[p]->log_density(pool.sample(i).x);
+    }
+    const double max_lp = *std::max_element(log_p.begin(), log_p.end());
+    const SeedSampler sampler(config, profiles[p]);
+    for (const std::size_t threads : {1u, 8u}) {
+      ThreadPool::configure_global(threads);
+      const auto w = sampler.weights(*model_, pool);
+      ASSERT_EQ(w.size(), pool.size());
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        const double density = std::exp(std::max(log_p[i] - max_lp, -30.0));
+        const double expected =
+            std::pow(density, config.gamma) * std::pow(1.0, 1.0 - config.gamma);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(w[i]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "profile " << p << " row " << i << " threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(SeedSamplerConfigValidation, GammaRange) {
