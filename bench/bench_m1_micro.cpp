@@ -448,11 +448,14 @@ void BM_GmmFit(benchmark::State& state) {
         GaussianMixtureModel::fit(data, config, fit_rng));
   }
 }
-// The historic pipeline-startup shape (300x8, k=4) plus the larger OP
-// models the parallel-EM work targets (RQ1 at digits scale and beyond).
+// The historic pipeline-startup shape (300x8, k=4), the larger OP models
+// the parallel-EM work targets (RQ1 at digits scale and beyond), and the
+// digits OP shape (4000x64, k=10) that the benchmark workloads fit at
+// setup.
 BENCHMARK(BM_GmmFit)
     ->Args({300, 8, 4})
     ->Args({2000, 16, 8})
+    ->Args({4000, 64, 10})
     ->Args({4000, 64, 16})
     ->Unit(benchmark::kMillisecond);
 

@@ -201,37 +201,80 @@ double GaussianMixtureModel::mean_log_likelihood(const Tensor& data) const {
 
 namespace {
 
-/// k-means++ initial centres over the rows of `data`.
-std::vector<std::size_t> kmeanspp_centres(const Tensor& data, std::size_t k,
-                                          Rng& rng) {
-  const std::size_t n = data.dim(0);
-  std::vector<std::size_t> centres;
-  centres.push_back(rng.uniform_index(n));
-  std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
-  while (centres.size() < k) {
-    const auto centre_row = data.row_span(centres.back());
-    // Disjoint per-point writes: bit-identical for any thread count.
-    parallel_for(0, n, 128, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto row = data.row_span(i);
-        double d = 0.0;
-        for (std::size_t j = 0; j < row.size(); ++j) {
-          const double diff = static_cast<double>(row[j]) - centre_row[j];
-          d += diff * diff;
-        }
-        min_dist[i] = std::min(min_dist[i], d);
-      }
-    });
-    double total = 0.0;
-    for (double d : min_dist) total += d;
-    if (total <= 0.0) {
-      // All points coincide with centres; fill the rest uniformly.
-      centres.push_back(rng.uniform_index(n));
-      continue;
-    }
-    centres.push_back(rng.categorical(min_dist));
+/// EM point-chunk grain: every sufficient-statistic partial belongs to one
+/// 32-row chunk at a fixed global row offset.
+constexpr std::size_t kPointGrain = 32;
+
+/// Staging-window width for streamed rows. A multiple of every parallel
+/// grain the fit uses (32-point EM chunks, 64-point k-means assignment,
+/// 128-point k-means++ scans), so window-local chunk boundaries land on
+/// the same global row offsets whatever the window split — the
+/// precondition for bitwise-equal chunk-ordered folds at any stream
+/// chunk_size, and for the in-memory source's single window to fold
+/// exactly like the staged ones.
+constexpr std::size_t kStreamStageRows = 8192;
+static_assert(kStreamStageRows % kPointGrain == 0);
+
+/// Row source over an in-memory [n, d] tensor: one window, no copy.
+class TensorRows {
+ public:
+  /// The n x k responsibilities fit in memory next to the data, so the
+  /// variance pass reads them back instead of recomputing them.
+  static constexpr bool kStoresResponsibilities = true;
+
+  explicit TensorRows(const Tensor& data) : data_(data) {}
+  std::size_t size() const { return data_.dim(0); }
+  std::size_t dim() const { return data_.dim(1); }
+  std::size_t max_window() const { return size(); }
+  Tensor row(std::size_t i) const { return data_.row(i); }
+  /// fn(start, rows) over the windows in ascending row order; fn may
+  /// return bool (false stops early), which one window makes moot.
+  template <typename Fn>
+  void for_each_window(Fn&& fn) const {
+    fn(std::size_t{0}, data_);
   }
-  return centres;
+
+ private:
+  const Tensor& data_;
+};
+
+/// Row source over a SampleStream: fixed-offset staging windows, one
+/// pass over the stream per call.
+class StreamRows {
+ public:
+  /// O(n k) responsibilities would break the O(chunk) memory bound; the
+  /// variance pass recomputes them instead.
+  static constexpr bool kStoresResponsibilities = false;
+
+  explicit StreamRows(const SampleStream& stream) : stream_(stream) {}
+  std::size_t size() const { return stream_.size(); }
+  std::size_t dim() const { return stream_.dim(); }
+  std::size_t max_window() const {
+    return std::min(size(), kStreamStageRows);
+  }
+  Tensor row(std::size_t i) const { return stream_.sample_at(i).x; }
+  template <typename Fn>
+  void for_each_window(Fn&& fn) const {
+    for_each_staged_window(
+        stream_, kStreamStageRows,
+        [&](std::size_t start, const Tensor& rows, std::span<const int>) {
+          return fn(start, rows);
+        });
+  }
+
+ private:
+  const SampleStream& stream_;
+};
+
+/// Squared Euclidean distance, j-ascending in double.
+template <typename Centre>
+double squared_distance(std::span<const float> row, const Centre& centre) {
+  double dist = 0.0;
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    const double diff = static_cast<double>(row[j]) - centre[j];
+    dist += diff * diff;
+  }
+  return dist;
 }
 
 }  // namespace
@@ -240,246 +283,21 @@ GaussianMixtureModel GaussianMixtureModel::fit(const Tensor& data,
                                                const GmmConfig& config,
                                                Rng& rng, GmmFitTrace* trace) {
   OPAD_EXPECTS(data.rank() == 2);
-  const std::size_t n = data.dim(0), d = data.dim(1);
-  OPAD_EXPECTS_MSG(n >= config.components,
-                   "need at least as many samples as components");
-  OPAD_EXPECTS(config.components > 0 && config.max_iterations > 0);
-  if (trace) trace->mean_log_likelihood.clear();
-
-  // --- initialise from a few rounds of k-means ---
-  const auto k = config.components;
-  auto centre_idx = kmeanspp_centres(data, k, rng);
-  std::vector<std::vector<double>> centres(k, std::vector<double>(d));
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto row = data.row_span(centre_idx[c]);
-    for (std::size_t j = 0; j < d; ++j) centres[c][j] = row[j];
-  }
-  std::vector<std::size_t> assign(n, 0);
-  for (std::size_t iter = 0; iter < config.kmeans_iterations; ++iter) {
-    // Assignment: pure per-point argmin, disjoint writes.
-    parallel_for(0, n, 64, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto row = data.row_span(i);
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < k; ++c) {
-          double dist = 0.0;
-          for (std::size_t j = 0; j < d; ++j) {
-            const double diff = static_cast<double>(row[j]) - centres[c][j];
-            dist += diff * diff;
-          }
-          if (dist < best) {
-            best = dist;
-            assign[i] = c;
-          }
-        }
-      }
-    });
-    // Update: one pass over the points (contributions still fold in
-    // ascending i per cluster, exactly like the old per-cluster scans).
-    std::vector<std::vector<double>> sum(k, std::vector<double>(d, 0.0));
-    std::vector<std::size_t> count(k, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = data.row_span(i);
-      auto& s = sum[assign[i]];
-      for (std::size_t j = 0; j < d; ++j) s[j] += row[j];
-      ++count[assign[i]];
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      if (count[c] == 0) continue;
-      for (std::size_t j = 0; j < d; ++j) {
-        centres[c][j] = sum[c][j] / static_cast<double>(count[c]);
-      }
-    }
-  }
-
-  // Global variance, used as the initial spread and as a fallback.
-  std::vector<double> global_var(d, config.variance_floor);
-  {
-    std::vector<double> mean_v(d, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = data.row_span(i);
-      for (std::size_t j = 0; j < d; ++j) mean_v[j] += row[j];
-    }
-    for (double& m : mean_v) m /= static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = data.row_span(i);
-      for (std::size_t j = 0; j < d; ++j) {
-        const double diff = static_cast<double>(row[j]) - mean_v[j];
-        global_var[j] += diff * diff / static_cast<double>(n);
-      }
-    }
-  }
-
-  std::vector<Component> comps(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    comps[c].weight = 1.0 / static_cast<double>(k);
-    comps[c].mean = centres[c];
-    comps[c].variance = global_var;
-  }
-  GaussianMixtureModel model(comps);
-
-  // --- EM iterations ---
-  // The E step and both sufficient-statistic passes of the M step run over
-  // fixed point chunks; every chunk accumulates its own partial totals
-  // (log-likelihood, responsibility mass nk, weighted sums, weighted
-  // squared deviations) which are then folded in chunk order. The chunk
-  // decomposition depends only on (n, grain), so the fitted parameters are
-  // bit-identical for every OPAD_THREADS value. Dead-component reseeding
-  // stays serial and component-ascending to preserve the rng draw order.
-  constexpr std::size_t kPointGrain = 32;
-  const std::size_t chunks = parallel_chunk_count(0, n, kPointGrain);
-  std::vector<double> resp(n * k);
-  std::vector<double> ll_partial(chunks);
-  std::vector<double> nk_partial(chunks * k);
-  std::vector<double> stat_partial(chunks * k * d);  // means, then variances
-  std::vector<double> log_weight(k), base(k);
-  std::vector<double> nk(k), mean_sum(k * d);
-  std::vector<char> dead(k);
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    // Per-iteration constants hoisted out of the per-point loop (the
-    // serial code re-derived k*d logarithms for every point).
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto& comp = model.components_[c];
-      log_weight[c] = std::log(comp.weight);
-      double log_det = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        log_det += std::log(comp.variance[j]);
-      }
-      base[c] = static_cast<double>(d) * std::log(2.0 * M_PI) + log_det;
-    }
-    std::fill(ll_partial.begin(), ll_partial.end(), 0.0);
-    std::fill(nk_partial.begin(), nk_partial.end(), 0.0);
-    std::fill(stat_partial.begin(), stat_partial.end(), 0.0);
-    // Fused E step + first M-step pass: responsibilities, per-chunk
-    // log-likelihood, responsibility mass, and weighted sums.
-    parallel_for_chunks(
-        0, n, kPointGrain,
-        [&](std::size_t ch, std::size_t lo, std::size_t hi) {
-          std::vector<double> log_terms(k);
-          double* nk_p = nk_partial.data() + ch * k;
-          double* mean_p = stat_partial.data() + ch * k * d;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const auto row = data.row_span(i);
-            for (std::size_t c = 0; c < k; ++c) {
-              const auto& comp = model.components_[c];
-              double quad = 0.0;
-              for (std::size_t j = 0; j < d; ++j) {
-                const double diff =
-                    static_cast<double>(row[j]) - comp.mean[j];
-                quad += diff * diff / comp.variance[j];
-              }
-              log_terms[c] = log_weight[c] - 0.5 * (base[c] + quad);
-            }
-            const double log_z = log_sum_exp(log_terms);
-            ll_partial[ch] += log_z;
-            double* r = resp.data() + i * k;
-            for (std::size_t c = 0; c < k; ++c) {
-              r[c] = std::exp(log_terms[c] - log_z);
-              nk_p[c] += r[c];
-              double* m = mean_p + c * d;
-              for (std::size_t j = 0; j < d; ++j) {
-                m[j] += r[c] * static_cast<double>(row[j]);
-              }
-            }
-          }
-        });
-    // Chunk-ordered folds.
-    double ll = 0.0;
-    for (std::size_t ch = 0; ch < chunks; ++ch) ll += ll_partial[ch];
-    std::fill(nk.begin(), nk.end(), 0.0);
-    std::fill(mean_sum.begin(), mean_sum.end(), 0.0);
-    for (std::size_t ch = 0; ch < chunks; ++ch) {
-      for (std::size_t c = 0; c < k; ++c) {
-        nk[c] += nk_partial[ch * k + c];
-        const double* m = stat_partial.data() + (ch * k + c) * d;
-        for (std::size_t j = 0; j < d; ++j) mean_sum[c * d + j] += m[j];
-      }
-    }
-    // Mean update; dead components re-seed at a random data point with
-    // global spread (serial, c-ascending: rng order matters).
-    std::fill(dead.begin(), dead.end(), 0);
-    for (std::size_t c = 0; c < k; ++c) {
-      auto& comp = model.components_[c];
-      if (nk[c] < 1e-10) {
-        dead[c] = 1;
-        const auto row = data.row_span(rng.uniform_index(n));
-        for (std::size_t j = 0; j < d; ++j) comp.mean[j] = row[j];
-        comp.variance = global_var;
-        comp.weight = 1.0 / static_cast<double>(n);
-        continue;
-      }
-      for (std::size_t j = 0; j < d; ++j) {
-        comp.mean[j] = mean_sum[c * d + j] / nk[c];
-      }
-    }
-    // Second M-step pass: weighted squared deviations about the fresh
-    // means, again per-chunk with a chunk-ordered fold.
-    std::fill(stat_partial.begin(), stat_partial.end(), 0.0);
-    parallel_for_chunks(
-        0, n, kPointGrain,
-        [&](std::size_t ch, std::size_t lo, std::size_t hi) {
-          double* var_p = stat_partial.data() + ch * k * d;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const auto row = data.row_span(i);
-            const double* r = resp.data() + i * k;
-            for (std::size_t c = 0; c < k; ++c) {
-              if (dead[c]) continue;
-              const auto& mean = model.components_[c].mean;
-              double* v = var_p + c * d;
-              for (std::size_t j = 0; j < d; ++j) {
-                const double diff = static_cast<double>(row[j]) - mean[j];
-                v[j] += r[c] * diff * diff;
-              }
-            }
-          }
-        });
-    for (std::size_t c = 0; c < k; ++c) {
-      if (dead[c]) continue;
-      auto& comp = model.components_[c];
-      for (std::size_t j = 0; j < d; ++j) {
-        double var = 0.0;
-        for (std::size_t ch = 0; ch < chunks; ++ch) {
-          var += stat_partial[(ch * k + c) * d + j];
-        }
-        comp.variance[j] = std::max(var / nk[c], config.variance_floor);
-      }
-      comp.weight = nk[c] / static_cast<double>(n);
-    }
-    // Renormalise weights (dead-component reseeding can unbalance them).
-    double wsum = 0.0;
-    for (const auto& comp : model.components_) wsum += comp.weight;
-    for (auto& comp : model.components_) comp.weight /= wsum;
-
-    const double mean_ll = ll / static_cast<double>(n);
-    if (trace) trace->mean_log_likelihood.push_back(mean_ll);
-    if (iter > 0 &&
-        std::fabs(mean_ll - prev_ll) <
-            config.tolerance * (std::fabs(prev_ll) + 1e-12)) {
-      break;
-    }
-    prev_ll = mean_ll;
-  }
-  model.refresh_cache();
-  return model;
+  return fit_em(TensorRows(data), config, rng, trace);
 }
-
-namespace {
-
-/// Staging-window width for the streaming fit. A multiple of every
-/// parallel grain used by the in-core fit (32-point EM chunks, 64-point
-/// k-means assignment, 128-point k-means++ scans), so window-local chunk
-/// boundaries land on the same global row offsets as the in-core
-/// decomposition — the precondition for bitwise-equal chunk-ordered
-/// folds at any stream chunk_size.
-constexpr std::size_t kStreamStageRows = 8192;
-
-}  // namespace
 
 GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
                                                const GmmConfig& config,
                                                Rng& rng, GmmFitTrace* trace) {
-  const std::size_t n = stream.size(), d = stream.dim();
+  return fit_em(StreamRows(stream), config, rng, trace);
+}
+
+template <typename Rows>
+GaussianMixtureModel GaussianMixtureModel::fit_em(const Rows& rows,
+                                                  const GmmConfig& config,
+                                                  Rng& rng,
+                                                  GmmFitTrace* trace) {
+  const std::size_t n = rows.size(), d = rows.dim();
   OPAD_EXPECTS_MSG(n >= config.components,
                    "need at least as many samples as components");
   OPAD_EXPECTS(config.components > 0 && config.max_iterations > 0);
@@ -488,120 +306,97 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
   const auto k = config.components;
 
   // --- k-means++ centres ---
-  // The in-core version keeps min_dist[n] and hands it to
-  // rng.categorical. Out of core we re-derive both from two extra passes
-  // (O(k) distance evaluations per point instead of O(1) amortised): the
-  // running min over all centres so far equals the incrementally updated
-  // min_dist, the flat ascending total equals categorical's internal
-  // total, and the ascending subtract-scan with a last-positive fallback
-  // replays categorical's selection — one uniform() draw, identical
-  // result, identical rng stream.
-  std::vector<std::vector<float>> centre_rows;
-  auto push_centre = [&](std::size_t idx) {
-    const LabeledSample s = stream.sample_at(idx);
-    centre_rows.emplace_back(s.x.data().begin(), s.x.data().end());
-  };
-  push_centre(rng.uniform_index(n));
-
+  // Each new centre takes two passes instead of a stored min_dist[n]:
+  // the running min over all centres so far equals an incrementally
+  // updated min_dist, the flat ascending total equals rng.categorical's
+  // internal total, and the ascending subtract-scan with a last-positive
+  // fallback replays categorical's selection — one uniform() draw, the
+  // same index, the same rng stream.
+  std::vector<Tensor> centre_rows;
+  centre_rows.push_back(rows.row(rng.uniform_index(n)));
   std::vector<double> win_dist;
-  auto window_min_dist = [&](const Tensor& rows) {
-    const std::size_t m = rows.dim(0);
+  auto window_min_dist = [&](const Tensor& window) {
+    const std::size_t m = window.dim(0);
     win_dist.assign(m, 0.0);
     // Disjoint per-point writes: bit-identical for any thread count.
     parallel_for(0, m, 128, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        const auto row = rows.row_span(i);
+        const auto row = window.row_span(i);
         double best = std::numeric_limits<double>::infinity();
         for (const auto& centre : centre_rows) {
-          double dist = 0.0;
-          for (std::size_t j = 0; j < d; ++j) {
-            const double diff = static_cast<double>(row[j]) - centre[j];
-            dist += diff * diff;
-          }
-          best = std::min(best, dist);
+          best = std::min(best, squared_distance(row, centre.data()));
         }
         win_dist[i] = best;
       }
     });
   };
-
   while (centre_rows.size() < k) {
     double total = 0.0;
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t, const Tensor& rows, std::span<const int>) {
-          window_min_dist(rows);
-          for (double dist : win_dist) total += dist;
-        });
+    rows.for_each_window([&](std::size_t, const Tensor& window) {
+      window_min_dist(window);
+      for (double dist : win_dist) total += dist;
+    });
     if (total <= 0.0) {
       // All points coincide with centres; fill the rest uniformly.
-      push_centre(rng.uniform_index(n));
+      centre_rows.push_back(rows.row(rng.uniform_index(n)));
       continue;
     }
     double target = rng.uniform() * total;
     std::size_t chosen = n;
     std::size_t last_positive = n;
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t start, const Tensor& rows, std::span<const int>) {
-          window_min_dist(rows);
-          for (std::size_t i = 0; i < rows.dim(0); ++i) {
-            if (win_dist[i] > 0.0) last_positive = start + i;
-            target -= win_dist[i];
-            if (target < 0.0) {
-              chosen = start + i;
-              return false;
-            }
-          }
-          return true;
-        });
+    rows.for_each_window([&](std::size_t start, const Tensor& window) {
+      window_min_dist(window);
+      for (std::size_t i = 0; i < window.dim(0); ++i) {
+        if (win_dist[i] > 0.0) last_positive = start + i;
+        target -= win_dist[i];
+        if (target < 0.0) {
+          chosen = start + i;
+          return false;
+        }
+      }
+      return true;
+    });
     // Floating-point slack: fall back to the last positive-weight index,
     // exactly like categorical (total > 0 guarantees one exists).
     if (chosen == n) chosen = last_positive != n ? last_positive : n - 1;
-    push_centre(chosen);
+    centre_rows.push_back(rows.row(chosen));
   }
 
   // --- k-means iterations ---
   std::vector<std::vector<double>> centres(k, std::vector<double>(d));
   for (std::size_t c = 0; c < k; ++c) {
-    for (std::size_t j = 0; j < d; ++j) centres[c][j] = centre_rows[c][j];
+    const auto row = centre_rows[c].data();
+    for (std::size_t j = 0; j < d; ++j) centres[c][j] = row[j];
   }
   std::vector<std::size_t> win_assign;
   for (std::size_t iter = 0; iter < config.kmeans_iterations; ++iter) {
     std::vector<std::vector<double>> sum(k, std::vector<double>(d, 0.0));
     std::vector<std::size_t> count(k, 0);
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t, const Tensor& rows, std::span<const int>) {
-          const std::size_t m = rows.dim(0);
-          win_assign.assign(m, 0);
-          // Assignment: pure per-point argmin, disjoint writes.
-          parallel_for(0, m, 64, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              const auto row = rows.row_span(i);
-              double best = std::numeric_limits<double>::infinity();
-              for (std::size_t c = 0; c < k; ++c) {
-                double dist = 0.0;
-                for (std::size_t j = 0; j < d; ++j) {
-                  const double diff =
-                      static_cast<double>(row[j]) - centres[c][j];
-                  dist += diff * diff;
-                }
-                if (dist < best) {
-                  best = dist;
-                  win_assign[i] = c;
-                }
-              }
+    rows.for_each_window([&](std::size_t, const Tensor& window) {
+      const std::size_t m = window.dim(0);
+      win_assign.assign(m, 0);
+      // Assignment: pure per-point argmin, disjoint writes.
+      parallel_for(0, m, 64, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto row = window.row_span(i);
+          double best = std::numeric_limits<double>::infinity();
+          for (std::size_t c = 0; c < k; ++c) {
+            const double dist = squared_distance(row, centres[c]);
+            if (dist < best) {
+              best = dist;
+              win_assign[i] = c;
             }
-          });
-          // Update: contributions fold in ascending global i per cluster.
-          for (std::size_t i = 0; i < m; ++i) {
-            const auto row = rows.row_span(i);
-            auto& s = sum[win_assign[i]];
-            for (std::size_t j = 0; j < d; ++j) s[j] += row[j];
-            ++count[win_assign[i]];
           }
-        });
+        }
+      });
+      // Update: contributions fold in ascending global i per cluster.
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto row = window.row_span(i);
+        auto& s = sum[win_assign[i]];
+        for (std::size_t j = 0; j < d; ++j) s[j] += row[j];
+        ++count[win_assign[i]];
+      }
+    });
     for (std::size_t c = 0; c < k; ++c) {
       if (count[c] == 0) continue;
       for (std::size_t j = 0; j < d; ++j) {
@@ -610,31 +405,27 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
     }
   }
 
-  // Global variance: same two flat ascending passes as in core, split
-  // across staging windows.
+  // Global variance, used as the initial spread and as a fallback: two
+  // flat ascending passes.
   std::vector<double> global_var(d, config.variance_floor);
   {
     std::vector<double> mean_v(d, 0.0);
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t, const Tensor& rows, std::span<const int>) {
-          for (std::size_t i = 0; i < rows.dim(0); ++i) {
-            const auto row = rows.row_span(i);
-            for (std::size_t j = 0; j < d; ++j) mean_v[j] += row[j];
-          }
-        });
+    rows.for_each_window([&](std::size_t, const Tensor& window) {
+      for (std::size_t i = 0; i < window.dim(0); ++i) {
+        const auto row = window.row_span(i);
+        for (std::size_t j = 0; j < d; ++j) mean_v[j] += row[j];
+      }
+    });
     for (double& m : mean_v) m /= static_cast<double>(n);
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t, const Tensor& rows, std::span<const int>) {
-          for (std::size_t i = 0; i < rows.dim(0); ++i) {
-            const auto row = rows.row_span(i);
-            for (std::size_t j = 0; j < d; ++j) {
-              const double diff = static_cast<double>(row[j]) - mean_v[j];
-              global_var[j] += diff * diff / static_cast<double>(n);
-            }
-          }
-        });
+    rows.for_each_window([&](std::size_t, const Tensor& window) {
+      for (std::size_t i = 0; i < window.dim(0); ++i) {
+        const auto row = window.row_span(i);
+        for (std::size_t j = 0; j < d; ++j) {
+          const double diff = static_cast<double>(row[j]) - mean_v[j];
+          global_var[j] += diff * diff / static_cast<double>(n);
+        }
+      }
+    });
   }
 
   std::vector<Component> comps(k);
@@ -646,114 +437,84 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
   GaussianMixtureModel model(comps);
 
   // --- EM iterations ---
-  // Same fused-pass structure as the in-core fit, two staged stream
-  // passes per iteration. Window partials fold into the global
-  // accumulators in global chunk order (windows ascend, chunks inside a
-  // window ascend, and window boundaries are chunk-aligned), so every
-  // per-accumulator addition sequence matches the in-core fold exactly.
-  // The one structural difference: instead of storing the O(n k)
-  // responsibility matrix for the variance pass, the second pass
-  // recomputes responsibilities from the snapshotted pre-update
-  // parameters — the same arithmetic on the same inputs, hence the same
-  // bits.
-  constexpr std::size_t kPointGrain = 32;  // must match the in-core fit
-  static_assert(kStreamStageRows % kPointGrain == 0);
-  const std::size_t max_wchunks =
-      parallel_chunk_count(0, std::min(n, kStreamStageRows), kPointGrain);
-  std::vector<double> ll_partial(max_wchunks);
-  std::vector<double> nk_partial(max_wchunks * k);
-  std::vector<double> stat_partial(max_wchunks * k * d);
-  std::vector<double> log_weight(k), base(k);
+  // Two passes per iteration: the E step fused with the mean statistics,
+  // then the variance statistics about the fresh means. Both run over
+  // fixed 32-point chunks; every chunk accumulates its own partials
+  // (log-likelihood, responsibility mass nk, weighted sums, weighted
+  // squared deviations), folded into the totals in global chunk order
+  // (windows ascend, chunks inside a window ascend, and window boundaries
+  // are chunk-aligned). The decomposition depends only on n, so the
+  // fitted parameters are bit-identical for every OPAD_THREADS value and
+  // every row source. Responsibilities come from the evaluation kernel,
+  // whose cache holds the parameters the iteration started from until
+  // the refresh at its end: it is the pre-update snapshot that the
+  // variance pass recomputes them against when the source does not
+  // store them. Dead-component reseeding stays serial and
+  // component-ascending to preserve the rng draw order.
+  constexpr bool kStore = Rows::kStoresResponsibilities;
+  const std::size_t max_chunks =
+      parallel_chunk_count(0, rows.max_window(), kPointGrain);
+  std::vector<double> resp(kStore ? n * k : 0);
+  std::vector<double> ll_partial(max_chunks);
+  std::vector<double> nk_partial(max_chunks * k);
+  std::vector<double> stat_partial(max_chunks * k * d);
   std::vector<double> nk(k), mean_sum(k * d), var_sum(k * d);
-  std::vector<double> old_mean(k * d), old_var(k * d);
   std::vector<char> dead(k);
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto& comp = model.components_[c];
-      log_weight[c] = std::log(comp.weight);
-      double log_det = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        log_det += std::log(comp.variance[j]);
-      }
-      base[c] = static_cast<double>(d) * std::log(2.0 * M_PI) + log_det;
-    }
-    // Snapshot the pre-update parameters: the variance pass recomputes
-    // responsibilities against these after the means have moved.
-    for (std::size_t c = 0; c < k; ++c) {
-      const auto& comp = model.components_[c];
-      std::copy(comp.mean.begin(), comp.mean.end(),
-                old_mean.begin() + static_cast<std::ptrdiff_t>(c * d));
-      std::copy(comp.variance.begin(), comp.variance.end(),
-                old_var.begin() + static_cast<std::ptrdiff_t>(c * d));
-    }
     double ll = 0.0;
     std::fill(nk.begin(), nk.end(), 0.0);
     std::fill(mean_sum.begin(), mean_sum.end(), 0.0);
     // Fused E step + first M-step pass.
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t, const Tensor& rows, std::span<const int>) {
-          const std::size_t m = rows.dim(0);
-          const std::size_t wchunks = parallel_chunk_count(0, m, kPointGrain);
-          std::fill(ll_partial.begin(), ll_partial.begin() + wchunks, 0.0);
-          std::fill(nk_partial.begin(), nk_partial.begin() + wchunks * k,
-                    0.0);
-          std::fill(stat_partial.begin(),
-                    stat_partial.begin() + wchunks * k * d, 0.0);
-          parallel_for_chunks(
-              0, m, kPointGrain,
-              [&](std::size_t ch, std::size_t lo, std::size_t hi) {
-                std::vector<double> log_terms(k);
-                double* nk_p = nk_partial.data() + ch * k;
-                double* mean_p = stat_partial.data() + ch * k * d;
-                for (std::size_t i = lo; i < hi; ++i) {
-                  const auto row = rows.row_span(i);
-                  for (std::size_t c = 0; c < k; ++c) {
-                    const double* mu = old_mean.data() + c * d;
-                    const double* va = old_var.data() + c * d;
-                    double quad = 0.0;
-                    for (std::size_t j = 0; j < d; ++j) {
-                      const double diff =
-                          static_cast<double>(row[j]) - mu[j];
-                      quad += diff * diff / va[j];
-                    }
-                    log_terms[c] = log_weight[c] - 0.5 * (base[c] + quad);
-                  }
-                  const double log_z = log_sum_exp(log_terms);
-                  ll_partial[ch] += log_z;
-                  for (std::size_t c = 0; c < k; ++c) {
-                    const double r = std::exp(log_terms[c] - log_z);
-                    nk_p[c] += r;
-                    double* mp = mean_p + c * d;
-                    for (std::size_t j = 0; j < d; ++j) {
-                      mp[j] += r * static_cast<double>(row[j]);
-                    }
-                  }
+    rows.for_each_window([&](std::size_t start, const Tensor& window) {
+      const std::size_t m = window.dim(0);
+      const std::size_t chunks = parallel_chunk_count(0, m, kPointGrain);
+      std::fill(ll_partial.begin(), ll_partial.begin() + chunks, 0.0);
+      std::fill(nk_partial.begin(), nk_partial.begin() + chunks * k, 0.0);
+      std::fill(stat_partial.begin(), stat_partial.begin() + chunks * k * d,
+                0.0);
+      parallel_for_chunks(
+          0, m, kPointGrain,
+          [&](std::size_t ch, std::size_t lo, std::size_t hi) {
+            TermBuffer buffer(k);
+            double* terms = buffer.data();
+            double* nk_p = nk_partial.data() + ch * k;
+            double* mean_p = stat_partial.data() + ch * k * d;
+            for (std::size_t i = lo; i < hi; ++i) {
+              const auto row = window.row_span(i);
+              model.component_log_terms(row, terms);
+              const double log_z =
+                  log_sum_exp(std::span<const double>(terms, k));
+              ll_partial[ch] += log_z;
+              for (std::size_t c = 0; c < k; ++c) {
+                const double r = std::exp(terms[c] - log_z);
+                if constexpr (kStore) resp[(start + i) * k + c] = r;
+                nk_p[c] += r;
+                double* mp = mean_p + c * d;
+                for (std::size_t j = 0; j < d; ++j) {
+                  mp[j] += r * static_cast<double>(row[j]);
                 }
-              });
-          // Global-chunk-ordered folds.
-          for (std::size_t ch = 0; ch < wchunks; ++ch) ll += ll_partial[ch];
-          for (std::size_t ch = 0; ch < wchunks; ++ch) {
-            for (std::size_t c = 0; c < k; ++c) {
-              nk[c] += nk_partial[ch * k + c];
-              const double* mp = stat_partial.data() + (ch * k + c) * d;
-              for (std::size_t j = 0; j < d; ++j) {
-                mean_sum[c * d + j] += mp[j];
               }
             }
-          }
-        });
-    // Mean update; dead components re-seed at a random stream row with
-    // global spread (serial, c-ascending: rng order matters).
+          });
+      for (std::size_t ch = 0; ch < chunks; ++ch) ll += ll_partial[ch];
+      for (std::size_t ch = 0; ch < chunks; ++ch) {
+        for (std::size_t c = 0; c < k; ++c) {
+          nk[c] += nk_partial[ch * k + c];
+          const double* mp = stat_partial.data() + (ch * k + c) * d;
+          for (std::size_t j = 0; j < d; ++j) mean_sum[c * d + j] += mp[j];
+        }
+      }
+    });
+    // Mean update; dead components re-seed at a random row with global
+    // spread (serial, c-ascending: rng order matters).
     std::fill(dead.begin(), dead.end(), 0);
     for (std::size_t c = 0; c < k; ++c) {
       auto& comp = model.components_[c];
       if (nk[c] < 1e-10) {
         dead[c] = 1;
-        const LabeledSample s = stream.sample_at(rng.uniform_index(n));
-        const auto row = s.x.data();
-        for (std::size_t j = 0; j < d; ++j) comp.mean[j] = row[j];
+        const Tensor row = rows.row(rng.uniform_index(n));
+        for (std::size_t j = 0; j < d; ++j) comp.mean[j] = row.data()[j];
         comp.variance = global_var;
         comp.weight = 1.0 / static_cast<double>(n);
         continue;
@@ -763,58 +524,44 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
       }
     }
     // Second M-step pass: weighted squared deviations about the fresh
-    // means, responsibilities recomputed from the snapshot.
+    // means.
     std::fill(var_sum.begin(), var_sum.end(), 0.0);
-    for_each_staged_window(
-        stream, kStreamStageRows,
-        [&](std::size_t, const Tensor& rows, std::span<const int>) {
-          const std::size_t m = rows.dim(0);
-          const std::size_t wchunks = parallel_chunk_count(0, m, kPointGrain);
-          std::fill(stat_partial.begin(),
-                    stat_partial.begin() + wchunks * k * d, 0.0);
-          parallel_for_chunks(
-              0, m, kPointGrain,
-              [&](std::size_t ch, std::size_t lo, std::size_t hi) {
-                std::vector<double> log_terms(k), resp(k);
-                double* var_p = stat_partial.data() + ch * k * d;
-                for (std::size_t i = lo; i < hi; ++i) {
-                  const auto row = rows.row_span(i);
-                  for (std::size_t c = 0; c < k; ++c) {
-                    const double* mu = old_mean.data() + c * d;
-                    const double* va = old_var.data() + c * d;
-                    double quad = 0.0;
-                    for (std::size_t j = 0; j < d; ++j) {
-                      const double diff =
-                          static_cast<double>(row[j]) - mu[j];
-                      quad += diff * diff / va[j];
-                    }
-                    log_terms[c] = log_weight[c] - 0.5 * (base[c] + quad);
-                  }
-                  const double log_z = log_sum_exp(log_terms);
-                  for (std::size_t c = 0; c < k; ++c) {
-                    resp[c] = std::exp(log_terms[c] - log_z);
-                  }
-                  for (std::size_t c = 0; c < k; ++c) {
-                    if (dead[c]) continue;
-                    const auto& mean = model.components_[c].mean;
-                    double* v = var_p + c * d;
-                    for (std::size_t j = 0; j < d; ++j) {
-                      const double diff =
-                          static_cast<double>(row[j]) - mean[j];
-                      v[j] += resp[c] * diff * diff;
-                    }
-                  }
+    rows.for_each_window([&](std::size_t start, const Tensor& window) {
+      const std::size_t m = window.dim(0);
+      const std::size_t chunks = parallel_chunk_count(0, m, kPointGrain);
+      std::fill(stat_partial.begin(), stat_partial.begin() + chunks * k * d,
+                0.0);
+      parallel_for_chunks(
+          0, m, kPointGrain,
+          [&](std::size_t ch, std::size_t lo, std::size_t hi) {
+            TermBuffer buffer(k);
+            double* var_p = stat_partial.data() + ch * k * d;
+            for (std::size_t i = lo; i < hi; ++i) {
+              const auto row = window.row_span(i);
+              const double* r = buffer.data();
+              if constexpr (kStore) {
+                r = resp.data() + (start + i) * k;
+              } else {
+                model.posterior(row, buffer.data());
+              }
+              for (std::size_t c = 0; c < k; ++c) {
+                if (dead[c]) continue;
+                const auto& mean = model.components_[c].mean;
+                double* v = var_p + c * d;
+                for (std::size_t j = 0; j < d; ++j) {
+                  const double diff = static_cast<double>(row[j]) - mean[j];
+                  v[j] += r[c] * diff * diff;
                 }
-              });
-          for (std::size_t ch = 0; ch < wchunks; ++ch) {
-            for (std::size_t c = 0; c < k; ++c) {
-              const double* vp = stat_partial.data() + (ch * k + c) * d;
-              for (std::size_t j = 0; j < d; ++j) {
-                var_sum[c * d + j] += vp[j];
               }
             }
-          }
-        });
+          });
+      for (std::size_t ch = 0; ch < chunks; ++ch) {
+        for (std::size_t c = 0; c < k; ++c) {
+          const double* vp = stat_partial.data() + (ch * k + c) * d;
+          for (std::size_t j = 0; j < d; ++j) var_sum[c * d + j] += vp[j];
+        }
+      }
+    });
     for (std::size_t c = 0; c < k; ++c) {
       if (dead[c]) continue;
       auto& comp = model.components_[c];
@@ -824,9 +571,11 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
       }
       comp.weight = nk[c] / static_cast<double>(n);
     }
+    // Renormalise weights (dead-component reseeding can unbalance them).
     double wsum = 0.0;
     for (const auto& comp : model.components_) wsum += comp.weight;
     for (auto& comp : model.components_) comp.weight /= wsum;
+    model.refresh_cache();
 
     const double mean_ll = ll / static_cast<double>(n);
     if (trace) trace->mean_log_likelihood.push_back(mean_ll);
@@ -837,7 +586,6 @@ GaussianMixtureModel GaussianMixtureModel::fit(const SampleStream& stream,
     }
     prev_ll = mean_ll;
   }
-  model.refresh_cache();
   return model;
 }
 

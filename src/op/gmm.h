@@ -49,25 +49,28 @@ class GaussianMixtureModel : public OperationalProfile {
 
   /// Fits a GMM to the rows of `data` [n, d] with EM (k-means++ init).
   ///
-  /// The E step and both sufficient-statistic passes of the M step run in
-  /// parallel over fixed point chunks; per-chunk partials (responsibility
-  /// mass, weighted sums, weighted squared deviations, log-likelihood) are
-  /// folded in chunk order, so the fitted parameters are bit-identical for
-  /// any OPAD_THREADS value. `trace`, when non-null, receives the
+  /// Both overloads run one EM implementation over a row source (see
+  /// DESIGN.md "EM sufficient-statistic folding"); this one hands the
+  /// tensor over as a single window, without a copy, and keeps the n x k
+  /// responsibilities for the variance pass. The E step and both
+  /// sufficient-statistic passes of the M step run in parallel over fixed
+  /// 32-point chunks; per-chunk partials (responsibility mass, weighted
+  /// sums, weighted squared deviations, log-likelihood) are folded in
+  /// chunk order, so the fitted parameters are bit-identical for any
+  /// OPAD_THREADS value. `trace`, when non-null, receives the
   /// per-iteration mean log-likelihood.
   static GaussianMixtureModel fit(const Tensor& data, const GmmConfig& config,
                                   Rng& rng, GmmFitTrace* trace = nullptr);
 
-  /// Streaming overload: fits on a chunked SampleStream at O(chunk_size)
-  /// memory, multi-pass (k-means++ makes 2 passes per centre, each
-  /// k-means/EM iteration 1-2 passes). Reproduces the in-core overload
-  /// bit for bit — identical parameters, trace, and rng consumption — for
-  /// any stream chunk_size and OPAD_THREADS: every pass stages rows into
-  /// windows aligned to fixed global offsets, so the parallel grain
-  /// decomposition and every fold order match the in-core path exactly
-  /// (see DESIGN.md "Out-of-core streaming"). The second M-step pass
-  /// recomputes responsibilities from the pre-update parameters instead
-  /// of storing the O(n k) responsibility matrix.
+  /// Streaming overload: the same EM over a chunked SampleStream at
+  /// O(chunk_size) memory, multi-pass (k-means++ makes 2 passes per
+  /// centre, each k-means/EM iteration 1-2 passes). Rows are staged into
+  /// windows aligned to fixed global offsets, so the chunk decomposition
+  /// and every fold order are those of the in-core overload: identical
+  /// parameters, trace, and rng consumption for any stream chunk_size and
+  /// OPAD_THREADS (see DESIGN.md "Out-of-core streaming"). The variance
+  /// pass recomputes responsibilities from the pre-update parameters
+  /// instead of storing the O(n k) responsibility matrix.
   static GaussianMixtureModel fit(const SampleStream& stream,
                                   const GmmConfig& config, Rng& rng,
                                   GmmFitTrace* trace = nullptr);
@@ -87,8 +90,17 @@ class GaussianMixtureModel : public OperationalProfile {
   const std::vector<Component>& components() const { return components_; }
 
  private:
+  /// The EM body behind both fit overloads. `Rows` is a row source
+  /// (gmm.cpp): size(), dim(), row(i), max_window(), for_each_window(fn)
+  /// and kStoresResponsibilities, which selects at compile time whether
+  /// the variance pass reads stored responsibilities or recomputes them.
+  template <typename Rows>
+  static GaussianMixtureModel fit_em(const Rows& rows, const GmmConfig& config,
+                                     Rng& rng, GmmFitTrace* trace);
+
   /// Recomputes the evaluation cache from components_. Every code path
-  /// that changes components_ (constructor, end of both fits) calls it.
+  /// that changes components_ (constructor, end of every EM iteration)
+  /// calls it.
   void refresh_cache();
 
   /// The row kernel behind every query: writes

@@ -41,12 +41,10 @@ class OperationalProfile {
 using ProfilePtr = std::shared_ptr<const OperationalProfile>;
 
 /// Writes log p_OP(row) for every row of `inputs` [n, d] into `out`
-/// (size n). Rows are scored in parallel on the global pool; for a
-/// ClassConditionalProfile the (row, class) term grid is additionally
-/// sharded across workers and folded serially in ascending class order,
-/// which is bitwise equal to calling profile.log_density() row by row
-/// (test-pinned — the seed sampler's and the serve layer's invariance
-/// rest on it).
+/// (size n). Rows are scored in parallel on the global pool, each by
+/// profile.log_density(), so the result is bitwise equal to the row-by-row
+/// loop for any thread count (test-pinned — the seed sampler's and the
+/// serve layer's invariance rest on it).
 void log_density_batch(const OperationalProfile& profile, const Tensor& inputs,
                        std::span<double> out);
 

@@ -102,13 +102,10 @@ KernelPlan kernel_plan(GemmKernel kernel) {
 }
 
 /// The dispatch default: fastest kernel that keeps the portable
-/// bit-identity contract. FMA only becomes the default when the build
-/// opted into native numerics (OPAD_NATIVE_ARCH defines this macro).
+/// bit-identity contract, on every build. FMA is opt-in only
+/// (OPAD_GEMM_KERNEL=fma).
 GemmKernel default_kernel() {
   const CpuFeatures& cpu = cpu_features();
-#if defined(OPAD_NATIVE_ARCH_BUILD)
-  if (cpu.fma) return GemmKernel::kFma;
-#endif
   if (cpu.avx512f) return GemmKernel::kAvx512;
   if (cpu.avx2) return GemmKernel::kAvx2;
   return GemmKernel::kScalar;

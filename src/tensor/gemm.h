@@ -55,8 +55,8 @@ bool gemm_kernel_supported(GemmKernel kernel);
 /// resolves OPAD_GEMM_KERNEL (scalar|avx2|fma|avx512; unknown or
 /// unsupported values are ignored with a warning) and otherwise
 /// defaults to the fastest bit-identity-preserving kernel the CPU
-/// supports (avx512 > avx2 > scalar) — fma only becomes the default on
-/// OPAD_NATIVE_ARCH builds, which already accept FMA-shifted numerics.
+/// supports (avx512 > avx2 > scalar), on native builds too; fma is never
+/// the default.
 GemmKernel active_gemm_kernel();
 
 /// The warn+fallback resolution behind the OPAD_GEMM_KERNEL override:

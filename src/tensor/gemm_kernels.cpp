@@ -78,9 +78,7 @@ __attribute__((target("avx2"))) void micro_kernel_avx2(
 
 // FMA variant: single-rounded fused multiply-adds. Strictly more
 // accurate per step but NOT bitwise equal to the scalar/AVX2 chains —
-// dispatched only on explicit opt-in (OPAD_GEMM_KERNEL=fma) or as the
-// default of OPAD_NATIVE_ARCH builds, which already accept FMA-shifted
-// numerics (see the incomplete_beta note in DESIGN.md).
+// dispatched only on explicit opt-in (OPAD_GEMM_KERNEL=fma).
 __attribute__((target("avx2,fma"))) void micro_kernel_fma(
     std::size_t kb, const float* ap, const float* bp, float* c,
     std::size_t ldc, std::size_t rows, std::size_t cols) {

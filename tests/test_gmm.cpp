@@ -5,10 +5,13 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "data/stream.h"
 #include "op/class_conditional.h"
 #include "test_helpers.h"
 #include "util/special_math.h"
@@ -383,6 +386,164 @@ TEST(GmmKernel, BitIdenticalToReferenceInsideClassConditionalProfile) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(profile.log_density(x)),
               std::bit_cast<std::uint64_t>(acc));
   }
+}
+
+// --- Golden fit pin ---------------------------------------------------------
+//
+// Both fit overloads run one EM body, so the stream-vs-in-core tests no
+// longer compare the fit against an independent implementation. These
+// digests were recorded from the two separate implementations the body
+// replaced (the in-core and the streaming fit agreed on every one): the
+// bits of every fitted parameter, of the likelihood trace, and of the
+// next rng draw after the fit, through both row sources.
+
+/// FNV-1a over the bytes of a sequence of doubles.
+class Fnv1a {
+ public:
+  void add(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      hash_ = (hash_ ^ ((bits >> b) & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  void add(const std::vector<double>& vs) {
+    for (double v : vs) add(v);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct FitDigest {
+  std::uint64_t parameters = 0;
+  std::uint64_t trace = 0;
+  std::uint64_t next_draw = 0;
+};
+
+FitDigest digest_fit(const GaussianMixtureModel& gmm,
+                     const GmmFitTrace& trace, Rng& rng) {
+  Fnv1a params, ll;
+  for (const auto& c : gmm.components()) {
+    params.add(c.weight);
+    params.add(c.mean);
+    params.add(c.variance);
+  }
+  ll.add(trace.mean_log_likelihood);
+  return {params.value(), ll.value(),
+          std::bit_cast<std::uint64_t>(rng.uniform())};
+}
+
+/// n rows around `clusters` centres drawn from N(0, 3^2) per coordinate,
+/// unit noise; row i belongs to cluster i % clusters.
+Dataset golden_clusters(std::size_t n, std::size_t d, std::size_t clusters,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor centres({clusters, d});
+  for (std::size_t c = 0; c < clusters; ++c) {
+    for (std::size_t j = 0; j < d; ++j) centres(c, j) = rng.normal(0.0, 3.0);
+  }
+  Tensor inputs({n, d});
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = static_cast<int>(i % clusters);
+    for (std::size_t j = 0; j < d; ++j) {
+      inputs(i, j) = static_cast<float>(centres(i % clusters, j) + rng.normal());
+    }
+  }
+  return Dataset(std::move(inputs), std::move(labels), clusters);
+}
+
+/// Fits `data` in core and through a stream of `chunk_size` rows and
+/// checks both against the recorded digest.
+void expect_fit_digest(const Dataset& data, const GmmConfig& config,
+                       std::uint64_t seed, std::size_t chunk_size,
+                       const FitDigest& expected) {
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "stream source" : "tensor source");
+    Rng rng(seed);
+    GmmFitTrace trace;
+    const InCoreSampleStream stream(data, chunk_size);
+    const auto gmm =
+        streamed ? GaussianMixtureModel::fit(stream, config, rng, &trace)
+                 : GaussianMixtureModel::fit(data.inputs(), config, rng,
+                                             &trace);
+    const FitDigest got = digest_fit(gmm, trace, rng);
+    EXPECT_EQ(got.parameters, expected.parameters) << std::hex
+                                                   << got.parameters;
+    EXPECT_EQ(got.trace, expected.trace) << std::hex << got.trace;
+    EXPECT_EQ(got.next_draw, expected.next_draw) << std::hex
+                                                 << got.next_draw;
+  }
+}
+
+TEST(GmmFitGolden, ParametersTraceAndRngMatchRecordedDigests) {
+  struct Case {
+    std::size_t n, d, k, chunk_size;
+    FitDigest expected;
+  };
+  // 9000 rows cross the streamed fit's 8192-row staging window.
+  const Case cases[] = {
+      {9000, 2, 3, 1000,
+       {0x2fc95885ceb46c33ULL, 0xa2ee24dc80b2237dULL, 0x3fbcb5e8dc8444e8ULL}},
+      {500, 6, 5, 77,
+       {0x2e616db51e754852ULL, 0x1240a8ebb212aa1cULL, 0x3fb1701779a396b8ULL}},
+      {1500, 64, 10, 256,
+       {0x1357a188c9574e19ULL, 0x4f9cafd6aec2134fULL, 0x3fa3508df1933470ULL}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("d=" + std::to_string(c.d) + " k=" + std::to_string(c.k));
+    const Dataset data = golden_clusters(c.n, c.d, c.k, 100 + c.d);
+    GmmConfig config;
+    config.components = c.k;
+    config.max_iterations = 20;
+    expect_fit_digest(data, config, 200 + c.k, c.chunk_size, c.expected);
+  }
+}
+
+TEST(GmmFitGolden, DeadComponentReseedMatchesRecordedDigest) {
+  // Three tight clusters on the x axis (sd 0.01) and eight components:
+  // the surplus components starve, and in the twelfth (last) iteration
+  // two of them fall below the nk < 1e-10 threshold together and are
+  // re-seeded, c-ascending, at random rows with the global variance.
+  const std::size_t n = 60, d = 2;
+  Rng data_rng(2002);
+  Tensor inputs({n, d});
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      const double centre = j == 0 ? 10.0 * static_cast<double>(i % 3) : 0.0;
+      inputs(i, j) = static_cast<float>(centre + data_rng.normal(0.0, 0.01));
+    }
+  }
+  const Dataset data(inputs, std::vector<int>(n, 0), 2);
+  GmmConfig config;
+  config.components = 8;
+  config.kmeans_iterations = 5;
+  config.tolerance = 0.0;
+  config.max_iterations = 12;
+
+  // The reseeded components carry the global variance verbatim (floor
+  // plus the flat ascending sum of squared deviations over n).
+  std::vector<double> global_var(d, config.variance_floor), mean(d, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) mean[j] += inputs(i, j);
+  }
+  for (double& m : mean) m /= static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      const double diff = static_cast<double>(inputs(i, j)) - mean[j];
+      global_var[j] += diff * diff / static_cast<double>(n);
+    }
+  }
+  Rng rng(2);
+  const auto gmm = GaussianMixtureModel::fit(inputs, config, rng);
+  std::size_t reseeded = 0;
+  for (const auto& c : gmm.components()) reseeded += c.variance == global_var;
+  ASSERT_EQ(reseeded, 2u) << "the fit no longer reaches the reseed branch";
+
+  expect_fit_digest(
+      data, config, 2, 7,
+      {0xfad9017dff75b9d2ULL, 0x68c856bafa964a97ULL, 0x3fe7dc05b5558e2cULL});
 }
 
 TEST(GmmFit, RejectsTooFewSamples) {
